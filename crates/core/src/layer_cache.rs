@@ -1,14 +1,18 @@
 //! Process-wide decoded-layer cache shared across models — the serving
 //! layer's hot-path allocation (`docs/SERVING.md`).
 //!
-//! Streaming inference's per-model memory knobs
-//! ([`CompressedFcModel::with_decoded_bytes_budget`](crate::streaming::CompressedFcModel::with_decoded_bytes_budget),
-//! [`SpillCache`](crate::spill::SpillCache)) each bound *one* model's
-//! footprint. A multi-tenant server holding N models under one RAM
-//! budget needs the opposite shape: **one** quota, shared by every
-//! tenant, with the globally hottest layers resident and the cold tail
-//! re-decoded (or spill-rehydrated) on demand. [`SharedLayerCache`] is
-//! that cache:
+//! Streaming inference's per-model weight sources each bound *one*
+//! model's footprint: the prefetch source's bytes budget
+//! ([`CompressedFcModel::with_decoded_bytes_budget`](crate::streaming::CompressedFcModel::with_decoded_bytes_budget))
+//! and the spill source's quota
+//! ([`CompressedFcModel::with_spill_dir`](crate::streaming::CompressedFcModel::with_spill_dir)).
+//! A model with a shared-cache handle attached runs the shared-cache
+//! source instead (the bytes budget no longer applies; an attached spill
+//! cache becomes its second tier). A multi-tenant server holding N
+//! models under one RAM budget needs the opposite shape: **one** quota,
+//! shared by every tenant, with the globally hottest layers resident and
+//! the cold tail re-decoded (or spill-rehydrated) on demand.
+//! [`SharedLayerCache`] is that cache:
 //!
 //! * Entries are keyed by `(model, layer, record_fnv)` — the FNV of the
 //!   layer's compressed record is part of the key, so hot-swapping a

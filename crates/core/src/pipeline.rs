@@ -612,7 +612,8 @@ pub(crate) fn skip_record_padding(region: &[u8], pos: &mut usize) -> Result<(), 
 /// FNV first, then per-record spans and blob checksums — *before* any
 /// payload is handed to a decompressor, and v4 additionally aligns each
 /// record to a 64-byte boundary and digests its full span
-/// (`docs/FORMAT.md`).
+/// (`docs/FORMAT.md`). Every version rejects a container with two
+/// records for the same layer index.
 pub(crate) fn parse_records(bytes: &[u8]) -> Result<Vec<RawLayerRecord<'_>>, DeepSzError> {
     if bytes.len() < 5 || &bytes[..4] != MAGIC {
         return Err(DeepSzError::BadContainer("bad magic".into()));
@@ -741,6 +742,15 @@ pub(crate) fn parse_records(bytes: &[u8]) -> Result<Vec<RawLayerRecord<'_>>, Dee
                 "footer has trailing bytes".into(),
             ));
         }
+    }
+    // Two records for one layer would leave readers to disagree on which
+    // one wins; no encoder writes that, so no reader accepts it.
+    let mut seen = std::collections::HashSet::with_capacity(records.len());
+    if let Some(dup) = records.iter().find(|r| !seen.insert(r.layer_index)) {
+        return Err(DeepSzError::BadContainer(format!(
+            "layer index {} has more than one record",
+            dup.layer_index
+        )));
     }
     Ok(records)
 }

@@ -10,6 +10,23 @@
 //! compressed container as the only persistent copy, resident model state
 //! shrinks by the full compression ratio.
 //!
+//! # One forward loop, four weight sources
+//!
+//! Every forward runs the same loop over the network's layers. Per fc
+//! layer it checks the abort probe, probes the [`ForwardHook`], takes the
+//! layer's dense weights from a *weight source*, records
+//! [`StreamingStats::peak_dense_bytes`] as the layer's dense bytes plus
+//! whatever the source holds resident, runs the matmul, and hands the
+//! weights back to the source. The model's configuration picks the source,
+//! first match wins:
+//!
+//! | Source | Chosen when | Weights come from | Peak dense bytes |
+//! |---|---|---|---|
+//! | shared cache | [`CompressedFcModel::with_shared_cache`] | cache hit, else spill fetch (if attached), else decode | `quota + executing layer` |
+//! | spill | [`CompressedFcModel::with_spill_dir`] | spill fetch, else decode; parked back after the matmul | `quota + executing layer` |
+//! | inline decode | prefetch depth 0, or a worker budget below 2 | container decode | `max(layer)` |
+//! | prefetch | otherwise (the default) | pool-task decode queued ahead of execution | executing + in-flight ≤ bytes budget |
+//!
 //! # Prefetch
 //!
 //! By default the forward pass **prefetch-decodes the next fc layer on a
@@ -19,8 +36,8 @@
 //!
 //! * [`CompressedFcModel::with_prefetch_depth`] — how many layers ahead may
 //!   be decoding/decoded beyond the executing one (default 1; deep fc
-//!   stacks hide more latency at depth ≥ 2). Depth 0 is fully serial and
-//!   preserves the strict `max(layer)` bound.
+//!   stacks hide more latency at depth ≥ 2). Depth 0 selects the inline
+//!   decode source and its strict `max(layer)` bound.
 //! * [`CompressedFcModel::with_decoded_bytes_budget`] — a cap on the dense
 //!   bytes live at once (executing layer + every in-flight prefetch). A
 //!   prefetch that would exceed the cap is simply not scheduled; the layer
@@ -31,8 +48,7 @@
 //! Decode tasks run on the persistent worker pool
 //! ([`dsz_tensor::pool::scope`]); joining a task that no pool worker picked
 //! up steals it inline, so prefetch degrades gracefully to serial order on
-//! busy or single-core hosts. [`CompressedFcModel::with_prefetch`] with
-//! `false` is shorthand for depth 0.
+//! busy or single-core hosts.
 
 // Streaming decodes untrusted container blobs on pool workers: malformed
 // input must come back as an `Err`, never a panic (`docs/ROBUSTNESS.md`).
@@ -64,10 +80,11 @@ fn check_abort(abort: Option<AbortFlag<'_>>) -> Result<(), DeepSzError> {
     }
 }
 
-/// Test/harness instrumentation point on the forward path: probed once
-/// per fc layer, right before that layer's weights are resolved, on
-/// every forward schedule (serial, spill, shared-cache, prefetch). An
-/// `Err` aborts the pass with that error, exactly as a real decode
+/// Test/harness instrumentation point on the forward path: the forward
+/// loop probes it once per fc layer, in layer order, right before it
+/// takes that layer's weights from the weight source — so every source
+/// (inline decode, prefetch, spill, shared cache) sees the same probes.
+/// An `Err` aborts the pass with that error, exactly as a real decode
 /// failure at that layer would — which is the point: a seeded fault plan
 /// (`dsz_serve::chaos`) implements this trait to inject decode errors,
 /// slow layers, and mid-batch cancellations deterministically, without
@@ -149,7 +166,11 @@ impl CompressedLayer {
 pub struct CompressedFcModel {
     /// The non-fc skeleton (fc layers carry empty weight buffers).
     skeleton: Network,
+    /// The container's records, in container order.
     layers: Vec<CompressedLayer>,
+    /// Per skeleton layer, the index into `layers` of the record backing
+    /// it; `None` for layers that run as stored.
+    slots: Vec<Option<usize>>,
     /// Layers ahead of the executing one that may be decoding/decoded.
     prefetch_depth: usize,
     /// Cap on live dense bytes (executing + in-flight prefetches).
@@ -160,19 +181,20 @@ pub struct CompressedFcModel {
     /// shared across clones so forwards reuse each other's spills.
     spill: Option<Arc<SpillCache>>,
     /// Handle into the process-wide decoded-layer cache
-    /// ([`Self::with_shared_cache`]); when set, forwards run the shared
-    /// serial schedule and hot layers decode once across all tenants.
+    /// ([`Self::with_shared_cache`]); when set, forwards take weights from
+    /// the shared cache and hot layers decode once across all tenants.
     shared: Option<CacheHandle>,
-    /// Test/harness fault-injection hook, probed once per fc layer on
-    /// every forward schedule ([`Self::with_forward_hook`]).
+    /// Test/harness fault-injection hook, probed once per fc layer
+    /// whatever the weight source ([`Self::with_forward_hook`]).
     hook: Option<Arc<dyn ForwardHook>>,
 }
 
 /// Memory accounting from a streaming forward pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamingStats {
-    /// Peak bytes of dense fc weights resident at any instant (the
-    /// executing layer plus every in-flight prefetch decode).
+    /// Peak bytes of dense fc weights resident at any instant: the
+    /// executing layer plus what the weight source holds (in-flight
+    /// prefetch decodes, or the spill/shared cache's parked layers).
     pub peak_dense_bytes: usize,
     /// Sum of dense fc weights (what eager decoding would hold).
     pub total_dense_bytes: usize,
@@ -207,7 +229,10 @@ impl CompressedFcModel {
                 }
             })
             .collect();
-        for l in &layers {
+        // `parse_records` rejects repeated layer indices, so each slot is
+        // filled at most once.
+        let mut slots = vec![None; skeleton.layers.len()];
+        for (k, l) in layers.iter().enumerate() {
             if l.layer_index >= skeleton.layers.len() {
                 return Err(DeepSzError::BadContainer(format!(
                     "layer index {} out of range",
@@ -228,10 +253,23 @@ impl CompressedFcModel {
             }
             // Release the dense weights; the compressed blob is canonical.
             d.w.data = Vec::new();
+            slots[l.layer_index] = Some(k);
+        }
+        // A dense layer left with neither its weights nor a record could
+        // never run; refuse it here rather than fail mid-forward.
+        for (i, (layer, slot)) in skeleton.layers.iter().zip(&slots).enumerate() {
+            if let (Layer::Dense(d), None) = (layer, slot) {
+                if d.w.data.len() != d.w.rows * d.w.cols {
+                    return Err(DeepSzError::BadContainer(format!(
+                        "no blob for fc layer {i}"
+                    )));
+                }
+            }
         }
         Ok(Self {
             skeleton,
             layers,
+            slots,
             prefetch_depth: 1,
             decoded_bytes_budget: None,
             decode_policy: DecodePolicy::default(),
@@ -239,12 +277,6 @@ impl CompressedFcModel {
             shared: None,
             hook: None,
         })
-    }
-
-    /// Enables (depth 1) or disables (depth 0) decode prefetch — shorthand
-    /// for [`Self::with_prefetch_depth`].
-    pub fn with_prefetch(self, on: bool) -> Self {
-        self.with_prefetch_depth(usize::from(on))
     }
 
     /// Sets how many fc layers ahead of the executing one may be
@@ -273,9 +305,10 @@ impl CompressedFcModel {
     /// Attaches a disk spill cache: decoded layers are parked in memory up
     /// to `bytes_quota` bytes, evicted layers are written FNV-stamped into
     /// `dir` and re-loaded instead of re-decoded on the next use
-    /// ([`crate::spill`]). Forward passes run the serial path — the cache
-    /// itself bounds live dense bytes at `quota + executing layer`, which
-    /// is the point — and stay bit-identical to the in-RAM path
+    /// ([`crate::spill`]). Forward passes take weights from the cache
+    /// instead of prefetching — the cache itself bounds live dense bytes
+    /// at `quota + executing layer`, which is the point — and stay
+    /// bit-identical to the in-RAM path
     /// (spill files round-trip exact f32 bits). Typically paired with a
     /// quota sized to the hot layers of a model larger than RAM.
     pub fn with_spill_dir(
@@ -294,12 +327,13 @@ impl CompressedFcModel {
 
     /// Attaches a handle into a process-wide
     /// [`SharedLayerCache`](crate::layer_cache::SharedLayerCache):
-    /// forwards run the serial schedule and each fc layer's decoded
-    /// weights are looked up under `(model, layer, record_fnv)` — hot
-    /// layers decode **once across every model and request** sharing the
-    /// cache, cold layers fall back to the spill cache (when attached)
-    /// and then to a container decode. Results are bit-identical to the
-    /// uncached serial path at every quota, including 0 (the cache hands
+    /// forwards take weights from the cache instead of prefetching, and
+    /// each fc layer's decoded weights are looked up under
+    /// `(model, layer, record_fnv)` — hot layers decode **once across
+    /// every model and request** sharing the cache, cold layers fall back
+    /// to the spill cache (when attached) and then to a container decode.
+    /// Results are bit-identical to the uncached inline-decode path at
+    /// every quota, including 0 (the cache hands
     /// back the same decoded bits or nothing). This is the constructor
     /// the serving layer (`dsz_serve`) uses; `docs/SERVING.md` has the
     /// quota semantics.
@@ -378,34 +412,34 @@ impl CompressedFcModel {
         x: &Batch,
         abort: Option<AbortFlag<'_>>,
     ) -> Result<(Batch, StreamingStats), DeepSzError> {
-        if let Some(handle) = self.shared.clone() {
-            // Shared cache implies the serial schedule: cross-request
-            // reuse, not prefetch, is what hides decode latency here.
-            self.forward_shared(x, &handle, abort)
-        } else if let Some(cache) = self.spill.clone() {
-            // Spill implies the serial schedule: the cache, not prefetch,
-            // is what bounds live dense bytes.
-            self.forward_spill(x, &cache, abort)
-        } else if self.prefetch_depth == 0 {
-            self.forward_serial(x, abort)
-        } else {
-            self.forward_prefetch(x, abort)
+        let spill = self.spill.as_deref();
+        if let Some(handle) = &self.shared {
+            // Cross-request reuse, not prefetch, hides decode latency here.
+            return self.run(x, abort, WeightSource::Shared { handle, spill });
         }
+        if let Some(cache) = spill {
+            // The cache, not prefetch, is what bounds live dense bytes.
+            return self.run(x, abort, WeightSource::Spill(cache));
+        }
+        let budget = dsz_tensor::parallel::worker_count();
+        if self.prefetch_depth == 0 || budget < 2 {
+            // Depth 0 asks for the strict bound; a 1-thread budget has no
+            // second thread to overlap a decode with.
+            return self.run(x, abort, WeightSource::Decode);
+        }
+        pool::scope(|s| {
+            let prefetch = Prefetch::new(s, self, budget);
+            self.run(x, abort, WeightSource::Prefetch(prefetch))
+        })
     }
 
-    /// Looks up the compressed blob backing skeleton layer `i`.
-    fn compressed_for(&self, i: usize) -> Result<&CompressedLayer, DeepSzError> {
-        self.layers
-            .iter()
-            .find(|l| l.layer_index == i)
-            .ok_or_else(|| DeepSzError::BadContainer(format!("no blob for fc layer {i}")))
-    }
-
-    /// One-layer-at-a-time forward: strict `max(layer)` dense peak.
-    fn forward_serial(
+    /// The forward loop every source shares: one pass over the skeleton,
+    /// fc layers taking their weights from `source`.
+    fn run(
         &self,
         x: &Batch,
         abort: Option<AbortFlag<'_>>,
+        mut source: WeightSource<'_, '_>,
     ) -> Result<(Batch, StreamingStats), DeepSzError> {
         let mut stats = StreamingStats {
             compressed_bytes: self
@@ -416,309 +450,32 @@ impl CompressedFcModel {
             ..Default::default()
         };
         let mut cur = x.clone();
-        for (i, layer) in self.skeleton.layers.iter().enumerate() {
+        for (i, (layer, slot)) in self.skeleton.layers.iter().zip(&self.slots).enumerate() {
             check_abort(abort)?;
-            match layer {
-                Layer::Dense(d) if d.w.data.is_empty() => {
+            cur = match (layer, slot) {
+                (Layer::Dense(d), &Some(k)) => {
                     self.probe_hook(i)?;
-                    let decoded = self
-                        .compressed_for(i)?
-                        .decode()
-                        .map_err(|e| self.decode_failure(i, e))?;
-                    let dense_bytes = decoded.dense.len() * 4;
-                    stats.peak_dense_bytes = stats.peak_dense_bytes.max(dense_bytes);
-                    stats.total_dense_bytes += dense_bytes;
-                    let mut live = d.clone();
-                    live.w.data = decoded.dense;
-                    let (next, _) = Layer::Dense(live).forward(&cur);
-                    cur = next; // dense weights dropped here
-                }
-                other => {
-                    let (next, _) = other.forward(&cur);
-                    cur = next;
-                }
-            }
-        }
-        Ok((cur, stats))
-    }
-
-    /// Serial forward through the spill cache: each fc layer's dense
-    /// weights come from the cache when parked (in memory or as a
-    /// verified spill file) and from a container decode only on a true
-    /// miss; after its matmul the buffer is parked back, evicting older
-    /// layers to disk as the quota demands. Live dense bytes are thus
-    /// bounded by `quota + executing layer` at every instant, and repeat
-    /// forwards replace re-decoding with (much cheaper) file rehydration.
-    fn forward_spill(
-        &self,
-        x: &Batch,
-        cache: &SpillCache,
-        abort: Option<AbortFlag<'_>>,
-    ) -> Result<(Batch, StreamingStats), DeepSzError> {
-        let mut stats = StreamingStats {
-            compressed_bytes: self
-                .layers
-                .iter()
-                .map(CompressedLayer::compressed_bytes)
-                .sum(),
-            ..Default::default()
-        };
-        let mut cur = x.clone();
-        for (i, layer) in self.skeleton.layers.iter().enumerate() {
-            check_abort(abort)?;
-            match layer {
-                Layer::Dense(d) if d.w.data.is_empty() => {
-                    self.probe_hook(i)?;
-                    let c = self.compressed_for(i)?;
-                    // Make room for this layer before it materializes, so
-                    // cached + executing never exceeds quota + one layer.
-                    cache.reserve(c.dense_bytes())?;
-                    let dense = match cache.fetch(i)? {
-                        Some(parked) => parked,
-                        None => {
-                            self.compressed_for(i)?
-                                .decode()
-                                .map_err(|e| self.decode_failure(i, e))?
-                                .dense
-                        }
-                    };
-                    let dense_bytes = dense.len() * 4;
-                    stats.peak_dense_bytes =
-                        stats.peak_dense_bytes.max(dense_bytes + cache.live_bytes());
-                    stats.total_dense_bytes += dense_bytes;
-                    let mut live = d.clone();
-                    live.w.data = dense;
-                    let wrapped = Layer::Dense(live);
-                    let (next, _) = wrapped.forward(&cur);
-                    cur = next;
-                    // Recover the buffer from the wrapper and park it for
-                    // the next forward pass instead of dropping it.
-                    let Layer::Dense(spent) = wrapped else {
-                        unreachable!("constructed as Dense above")
-                    };
-                    cache.store(i, spent.w.data)?;
-                }
-                other => {
-                    let (next, _) = other.forward(&cur);
-                    cur = next;
-                }
-            }
-        }
-        Ok((cur, stats))
-    }
-
-    /// Serial forward through the process-wide shared layer cache: each
-    /// fc layer's dense weights come from the cache when resident (an
-    /// `Arc` clone — zero copy, shared with every other request holding
-    /// them), from the spill cache when attached and parked there, and
-    /// from a container decode on a true miss, after which they are
-    /// parked for the next tenant (quota permitting). The cache ledger
-    /// never exceeds the global quota; live dense bytes at any instant
-    /// are bounded by `quota + this pass's executing layer`
-    /// (`crate::layer_cache`).
-    fn forward_shared(
-        &self,
-        x: &Batch,
-        handle: &CacheHandle,
-        abort: Option<AbortFlag<'_>>,
-    ) -> Result<(Batch, StreamingStats), DeepSzError> {
-        let mut stats = StreamingStats {
-            compressed_bytes: self
-                .layers
-                .iter()
-                .map(CompressedLayer::compressed_bytes)
-                .sum(),
-            ..Default::default()
-        };
-        let mut cur = x.clone();
-        for (i, layer) in self.skeleton.layers.iter().enumerate() {
-            check_abort(abort)?;
-            match layer {
-                Layer::Dense(d) if d.w.data.is_empty() => {
-                    self.probe_hook(i)?;
-                    let c = self.compressed_for(i)?;
-                    let weights = handle.get_or_decode(
-                        i,
-                        c.record_fnv,
-                        || -> Result<Vec<f32>, DeepSzError> {
-                            // Cold layer: prefer a (cheap) spill
-                            // rehydrate over a container re-decode.
-                            if let Some(spill) = &self.spill {
-                                if let Some(parked) = spill.fetch(i)? {
-                                    return Ok(parked);
-                                }
-                            }
-                            c.decode()
-                                .map(|decoded| decoded.dense)
-                                .map_err(|e| self.decode_failure(i, e))
-                        },
-                    )?;
+                    let weights = source.acquire(self, &self.layers[k])?;
                     let dense_bytes = weights.len() * 4;
                     stats.peak_dense_bytes = stats
                         .peak_dense_bytes
-                        .max(dense_bytes + handle.cache().live_bytes());
+                        .max(dense_bytes + source.resident_bytes());
                     stats.total_dense_bytes += dense_bytes;
-                    cur = dense_forward_with_weights(d, &weights, &cur);
-                    // `weights` drops here: cached layers stay resident
-                    // (one copy, shared), uncached ones free immediately.
+                    let next = source.compute(|| dense_forward_with_weights(d, &weights, &cur));
+                    source.release(i, weights)?;
+                    next
                 }
-                other => {
-                    let (next, _) = other.forward(&cur);
-                    cur = next;
-                }
-            }
+                (other, _) => source.compute(|| other.forward(&cur).0),
+            };
         }
         Ok((cur, stats))
     }
 
-    /// Pipelined forward: while layer *k*'s matmul runs, pool tasks decode
-    /// up to `prefetch_depth` upcoming layers (lossless + lossy data via
-    /// the layer's codec — SZ chunks additionally fan out internally —
-    /// + reconstruction), bounded by the decoded-bytes budget.
-    fn forward_prefetch(
-        &self,
-        x: &Batch,
-        abort: Option<AbortFlag<'_>>,
-    ) -> Result<(Batch, StreamingStats), DeepSzError> {
-        let mut stats = StreamingStats {
-            compressed_bytes: self
-                .layers
-                .iter()
-                .map(CompressedLayer::compressed_bytes)
-                .sum(),
-            ..Default::default()
-        };
-        // Compressed fc layers in execution order.
-        let order: Vec<usize> = self
-            .skeleton
-            .layers
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| match l {
-                Layer::Dense(d) if d.w.data.is_empty() => Some(i),
-                _ => None,
-            })
-            .collect();
-        // Resolve every blob up front: fails before scheduling anything,
-        // and the later lookups become infallible indexing.
-        let blobs: Vec<&CompressedLayer> = order
-            .iter()
-            .map(|&i| self.compressed_for(i))
-            .collect::<Result<_, _>>()?;
-
-        // Decode tasks run concurrently with the matmul thread, so the
-        // caller's worker budget is split between the two sides (each side
-        // at least 1). Pinning inside the spawned task also propagates a
-        // `with_workers` override, whose thread-local would otherwise be
-        // unset on a pool worker.
-        let budget = dsz_tensor::parallel::worker_count();
-        if budget < 2 {
-            // No second thread to overlap with: honoring a 1-thread pin
-            // means not running any concurrent decode at all.
-            return self.forward_serial(x, abort);
-        }
-        let depth = self.prefetch_depth;
-        let bytes_budget = self.decoded_bytes_budget.unwrap_or(usize::MAX);
-        let decode_budget = budget / 2;
-        let compute_budget = budget - decode_budget;
-        // The decode half of the budget is shared by all in-flight decodes.
-        let per_decode_budget = (decode_budget / depth).max(1);
-
-        // In-flight prefetch bookkeeping: (position in execution `order`,
-        // decode task handle, target dense bytes).
-        type Prefetch<'scope> = (
-            usize,
-            pool::TaskHandle<'scope, Result<DecodedLayer, DeepSzError>>,
-            usize,
-        );
-        pool::scope(|s| {
-            let mut pending: VecDeque<Prefetch<'_>> = VecDeque::new();
-            let mut pending_bytes = 0usize;
-            let mut next_ord = 0usize;
-
-            // Schedules prefetch decodes while depth and the bytes budget
-            // allow, given the dense bytes currently held by execution.
-            // (A macro rather than a closure: the spawned handles carry the
-            // scope lifetime, which a closure signature cannot name.)
-            macro_rules! schedule {
-                ($executing_bytes:expr) => {
-                    while pending.len() < depth && next_ord < order.len() {
-                        let c = blobs[next_ord];
-                        let bytes = c.dense_bytes();
-                        if $executing_bytes + pending_bytes + bytes > bytes_budget {
-                            break;
-                        }
-                        let handle = s.spawn(move || {
-                            dsz_tensor::parallel::with_workers(per_decode_budget, || c.decode())
-                        });
-                        pending.push_back((next_ord, handle, bytes));
-                        pending_bytes += bytes;
-                        next_ord += 1;
-                    }
-                };
-            }
-
-            // Warm the pipeline so leading non-fc layers (e.g. a conv
-            // stack) overlap with the first decodes.
-            schedule!(0);
-
-            let mut cur_ord = 0usize;
-            let mut cur = x.clone();
-            for layer in &self.skeleton.layers {
-                check_abort(abort)?;
-                match layer {
-                    Layer::Dense(d) if d.w.data.is_empty() => {
-                        self.probe_hook(order[cur_ord])?;
-                        let decoded = match pending.front() {
-                            Some(&(ord, _, _)) if ord == cur_ord => {
-                                let Some((_, handle, bytes)) = pending.pop_front() else {
-                                    unreachable!("front checked above")
-                                };
-                                pending_bytes -= bytes;
-                                handle
-                                    .join()
-                                    .map_err(|e| self.decode_failure(order[cur_ord], e))?
-                            }
-                            // Not prefetched (depth exhausted by the bytes
-                            // budget): decode inline, like the serial path.
-                            _ => {
-                                next_ord = next_ord.max(cur_ord + 1);
-                                blobs[cur_ord]
-                                    .decode()
-                                    .map_err(|e| self.decode_failure(order[cur_ord], e))?
-                            }
-                        };
-                        cur_ord += 1;
-                        let dense_bytes = decoded.dense.len() * 4;
-                        stats.total_dense_bytes += dense_bytes;
-                        // Top the pipeline back up now that the executing
-                        // layer's footprint is known.
-                        schedule!(dense_bytes);
-                        stats.peak_dense_bytes =
-                            stats.peak_dense_bytes.max(dense_bytes + pending_bytes);
-                        let mut live = d.clone();
-                        live.w.data = decoded.dense;
-                        cur = forward_sharing_budget(
-                            &Layer::Dense(live),
-                            &cur,
-                            !pending.is_empty(),
-                            compute_budget,
-                        ); // dense weights dropped here
-                    }
-                    other => {
-                        // Non-fc layers also share cores with in-flight
-                        // decodes (e.g. the conv stack before the first fc).
-                        cur = forward_sharing_budget(
-                            other,
-                            &cur,
-                            !pending.is_empty(),
-                            compute_budget,
-                        );
-                    }
-                }
-            }
-            Ok((cur, stats))
-        })
+    /// Decodes `c` inline, routing a failure through the decode policy.
+    fn decode_inline(&self, c: &CompressedLayer) -> Result<Vec<f32>, DeepSzError> {
+        c.decode()
+            .map(|decoded| decoded.dense)
+            .map_err(|e| self.decode_failure(c.layer_index, e))
     }
 
     /// Eagerly decodes everything into a plain [`Network`] (the
@@ -726,31 +483,228 @@ impl CompressedFcModel {
     pub fn materialize(&self) -> Result<Network, DeepSzError> {
         let mut net = self.skeleton.clone();
         for c in &self.layers {
-            let decoded = c
-                .decode()
-                .map_err(|e| self.decode_failure(c.layer_index, e))?;
+            let dense = self.decode_inline(c)?;
             let Layer::Dense(d) = &mut net.layers[c.layer_index] else {
                 unreachable!("validated at construction")
             };
-            d.w.data = decoded.dense;
+            d.w.data = dense;
         }
         Ok(net)
     }
 }
 
-/// Runs one layer forward, pinned to `compute_budget` workers while a
-/// prefetch decode is in flight (the decode side holds the rest of the
-/// budget) and at full width otherwise.
-fn forward_sharing_budget(
-    layer: &Layer,
-    cur: &Batch,
-    decode_in_flight: bool,
+/// One executing fc layer's dense weights: owned by this pass, or a
+/// shared-cache entry other requests may be multiplying against too.
+enum Weights {
+    Owned(Vec<f32>),
+    Shared(Arc<Vec<f32>>),
+}
+
+impl std::ops::Deref for Weights {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        match self {
+            Weights::Owned(w) => w,
+            Weights::Shared(w) => w,
+        }
+    }
+}
+
+/// Where the forward loop gets each fc layer's weights, and what else
+/// stays resident while that layer executes (the module docs tabulate
+/// each source's memory bound).
+enum WeightSource<'m, 's> {
+    /// Inline container decode; nothing else resident — strict
+    /// `max(layer)`.
+    Decode,
+    /// Per-model spill cache: parked layers + executing layer ≤
+    /// `quota + executing layer`.
+    Spill(&'m SpillCache),
+    /// Process-wide shared cache, falling back to the spill cache (when
+    /// attached) and then to a decode: `quota + executing layer`.
+    Shared {
+        handle: &'m CacheHandle,
+        spill: Option<&'m SpillCache>,
+    },
+    /// Pool-task decodes queued ahead of execution: executing + in-flight
+    /// ≤ the decoded-bytes budget.
+    Prefetch(Prefetch<'m, 's>),
+}
+
+impl WeightSource<'_, '_> {
+    /// The dense weights of the fc layer stored as record `c`.
+    fn acquire(
+        &mut self,
+        model: &CompressedFcModel,
+        c: &CompressedLayer,
+    ) -> Result<Weights, DeepSzError> {
+        let i = c.layer_index;
+        match self {
+            WeightSource::Decode => model.decode_inline(c).map(Weights::Owned),
+            WeightSource::Spill(cache) => {
+                // Make room for this layer before it materializes, so
+                // cached + executing never exceeds quota + one layer.
+                cache.reserve(c.dense_bytes())?;
+                match cache.fetch(i)? {
+                    Some(parked) => Ok(Weights::Owned(parked)),
+                    None => model.decode_inline(c).map(Weights::Owned),
+                }
+            }
+            WeightSource::Shared { handle, spill } => handle
+                .get_or_decode(i, c.record_fnv, || {
+                    // Cold layer: prefer a (cheap) spill rehydrate over a
+                    // container re-decode.
+                    if let Some(spill) = spill {
+                        if let Some(parked) = spill.fetch(i)? {
+                            return Ok(parked);
+                        }
+                    }
+                    model.decode_inline(c)
+                })
+                .map(Weights::Shared),
+            WeightSource::Prefetch(p) => p.acquire(model, c).map(Weights::Owned),
+        }
+    }
+
+    /// Dense bytes the source holds besides the executing layer.
+    fn resident_bytes(&self) -> usize {
+        match self {
+            WeightSource::Decode => 0,
+            WeightSource::Spill(cache) => cache.live_bytes(),
+            WeightSource::Shared { handle, .. } => handle.cache().live_bytes(),
+            WeightSource::Prefetch(p) => p.pending_bytes,
+        }
+    }
+
+    /// Runs one layer's compute. While prefetch decodes are in flight it
+    /// is pinned to the compute half of the worker budget (the decode
+    /// tasks hold the rest); otherwise it runs at full width.
+    fn compute<R>(&self, f: impl FnOnce() -> R) -> R {
+        match self {
+            WeightSource::Prefetch(p) if !p.pending.is_empty() => {
+                dsz_tensor::parallel::with_workers(p.compute_budget, f)
+            }
+            _ => f(),
+        }
+    }
+
+    /// Hands layer `i`'s weights back after its matmul: the spill cache
+    /// parks them for the next pass; every other source drops them
+    /// (shared-cache entries stay resident through the cache's own
+    /// reference).
+    fn release(&self, i: usize, weights: Weights) -> Result<(), DeepSzError> {
+        match (self, weights) {
+            (WeightSource::Spill(cache), Weights::Owned(w)) => cache.store(i, w),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// In-flight prefetch decode: (skeleton layer index, decode task, dense
+/// bytes it will produce).
+type Pending<'s> = (
+    usize,
+    pool::TaskHandle<'s, Result<DecodedLayer, DeepSzError>>,
+    usize,
+);
+
+/// The prefetch source's decode queue. Decode tasks run concurrently with
+/// the matmul thread, so the caller's worker budget is split between the
+/// two sides (each side at least 1).
+struct Prefetch<'m, 's> {
+    scope: &'s pool::PoolScope<'s, 'm>,
+    /// fc layers not yet scheduled, in execution order.
+    unscheduled: VecDeque<&'m CompressedLayer>,
+    pending: VecDeque<Pending<'s>>,
+    pending_bytes: usize,
+    depth: usize,
+    bytes_budget: usize,
+    /// Worker budget of each decode task (the decode half of the budget
+    /// is shared by all in-flight decodes).
+    per_decode_budget: usize,
+    /// Worker budget of the compute side while a decode is in flight.
     compute_budget: usize,
-) -> Batch {
-    if decode_in_flight {
-        dsz_tensor::parallel::with_workers(compute_budget, || layer.forward(cur)).0
-    } else {
-        layer.forward(cur).0
+}
+
+impl<'m, 's> Prefetch<'m, 's> {
+    /// A queue over `model`'s fc layers, warmed so leading non-fc layers
+    /// (e.g. a conv stack) overlap with the first decodes.
+    fn new(
+        scope: &'s pool::PoolScope<'s, 'm>,
+        model: &'m CompressedFcModel,
+        budget: usize,
+    ) -> Self {
+        let decode_budget = budget / 2;
+        let depth = model.prefetch_depth;
+        let mut p = Self {
+            scope,
+            unscheduled: model
+                .slots
+                .iter()
+                .flatten()
+                .map(|&k| &model.layers[k])
+                .collect(),
+            pending: VecDeque::new(),
+            pending_bytes: 0,
+            depth,
+            bytes_budget: model.decoded_bytes_budget.unwrap_or(usize::MAX),
+            per_decode_budget: (decode_budget / depth).max(1),
+            compute_budget: budget - decode_budget,
+        };
+        p.schedule(0);
+        p
+    }
+
+    /// Schedules decodes while depth and the bytes budget allow, given
+    /// the dense bytes currently held by execution.
+    fn schedule(&mut self, executing_bytes: usize) {
+        while self.pending.len() < self.depth {
+            let Some(&c) = self.unscheduled.front() else {
+                break;
+            };
+            let bytes = c.dense_bytes();
+            if executing_bytes + self.pending_bytes + bytes > self.bytes_budget {
+                break;
+            }
+            self.unscheduled.pop_front();
+            let per_decode = self.per_decode_budget;
+            let task = self
+                .scope
+                .spawn(move || dsz_tensor::parallel::with_workers(per_decode, || c.decode()));
+            self.pending.push_back((c.layer_index, task, bytes));
+            self.pending_bytes += bytes;
+        }
+    }
+
+    /// Record `c`'s weights: the queued decode when one is in flight, an
+    /// inline decode when the bytes budget kept it from being scheduled.
+    /// Tops the queue back up once the executing layer's size is known.
+    fn acquire(
+        &mut self,
+        model: &CompressedFcModel,
+        c: &CompressedLayer,
+    ) -> Result<Vec<f32>, DeepSzError> {
+        let queued = match self.pending.front() {
+            Some(&(i, _, _)) if i == c.layer_index => self.pending.pop_front(),
+            _ => None,
+        };
+        let dense = match queued {
+            Some((_, task, bytes)) => {
+                self.pending_bytes -= bytes;
+                task.join()
+                    .map(|decoded| decoded.dense)
+                    .map_err(|e| model.decode_failure(c.layer_index, e))?
+            }
+            None => {
+                // Scheduling is in order and never skips, so with nothing
+                // queued for `c`, `c` heads the unscheduled list.
+                self.unscheduled.pop_front();
+                model.decode_inline(c)?
+            }
+        };
+        self.schedule(dense.len() * 4);
+        Ok(dense)
     }
 }
 

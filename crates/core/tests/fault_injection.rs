@@ -25,8 +25,8 @@
 use dsz_core::optimizer::{ChosenLayer, Plan};
 use dsz_core::{
     decode_model, encode_with_plan_config, encode_with_plan_v1, encode_with_plan_v2,
-    verify_container, CompressedFcModel, CompressedModel, DataCodecKind, DecodePolicy, DeepSzError,
-    LayerAssessment,
+    encode_with_plan_v3, verify_container, CompressedFcModel, CompressedModel, DataCodecKind,
+    DecodePolicy, DeepSzError, LayerAssessment,
 };
 use dsz_datagen::corrupt::Corruptor;
 use dsz_nn::FcLayerRef;
@@ -375,4 +375,103 @@ fn corrupt_errors_name_layer_and_stage() {
     };
     assert_eq!(layer, "fc1");
     assert_eq!(stage, "cross-check"); // bad version fails the header peek
+}
+
+/// A container holding two records for the same fc layer is rejected by
+/// every reader, in every container generation: readers that picked
+/// different records as the winner would run one artifact as two
+/// different models.
+#[test]
+fn repeated_layer_index_is_rejected_by_every_reader() {
+    let (mut assessments, mut plan) = fixture();
+    // A second record for fc0, with different weights.
+    let mut dense = dsz_datagen::weights::trained_fc_weights(24, 32, 0xD0B);
+    dsz_prune::prune_to_density(&mut dense, 0.35);
+    let pair = PairArray::from_dense(&dense, 24, 32);
+    let (index_codec, index_blob) = dsz_lossless::best_fit(&pair.index);
+    let mut twin = plan.layers[0].clone();
+    twin.index_bytes = index_blob.len();
+    plan.layers.push(twin);
+    assessments.push(LayerAssessment {
+        fc: assessments[0].fc.clone(),
+        pair,
+        index_codec,
+        index_bytes: index_blob.len(),
+        points: Vec::new(),
+    });
+
+    let mut net = dsz_nn::Network {
+        input_shape: dsz_tensor::VolShape { c: 32, h: 1, w: 1 },
+        layers: Vec::new(),
+    };
+    for a in &assessments[..2] {
+        net.layers.push(dsz_nn::Layer::Dense(dsz_nn::DenseLayer {
+            name: a.fc.name.clone(),
+            w: dsz_tensor::Matrix {
+                rows: a.fc.rows,
+                cols: a.fc.cols,
+                data: a.pair.to_dense().unwrap(),
+            },
+            b: vec![0.0; a.fc.rows],
+        }));
+    }
+
+    let (v4, _) = encode_with_plan_config(&assessments, &plan, &pinned_sz()).unwrap();
+    let (v3, _) = encode_with_plan_v3(&assessments, &plan, &pinned_sz()).unwrap();
+    let (v2, _) = encode_with_plan_v2(&assessments, &plan, &pinned_sz()).unwrap();
+    let (v1, _) = encode_with_plan_v1(&assessments, &plan, &pinned_sz()).unwrap();
+    for (generation, model) in [("v4", &v4), ("v3", &v3), ("v2", &v2), ("v1", &v1)] {
+        let bad = |what: &str, r: Result<(), DeepSzError>| match r {
+            Err(DeepSzError::BadContainer(msg)) => {
+                assert!(msg.contains("layer index 0"), "{generation} {what}: {msg}")
+            }
+            other => panic!("{generation} {what}: expected BadContainer, got {other:?}"),
+        };
+        bad("verify_container", verify_container(model).map(drop));
+        bad("decode_model", decode_model(model).map(drop));
+        bad(
+            "CompressedFcModel::new",
+            CompressedFcModel::new(&net, model).map(drop),
+        );
+    }
+}
+
+/// A skeleton dense layer stripped of its weights, with no container
+/// record to restore them, is refused at construction instead of
+/// failing (or panicking) in the middle of a forward pass.
+#[test]
+fn unbacked_stripped_layer_is_rejected_at_construction() {
+    let (mut assessments, mut plan) = fixture();
+    assessments.truncate(1);
+    plan.layers.truncate(1);
+    let (only_fc0, _) = encode_with_plan_config(&assessments, &plan, &pinned_sz()).unwrap();
+    let mut net = dsz_nn::Network {
+        input_shape: dsz_tensor::VolShape { c: 32, h: 1, w: 1 },
+        layers: Vec::new(),
+    };
+    for (name, rows, cols) in [("fc0", 24usize, 32usize), ("fc1", 16, 24)] {
+        net.layers.push(dsz_nn::Layer::Dense(dsz_nn::DenseLayer {
+            name: name.into(),
+            w: dsz_tensor::Matrix {
+                rows,
+                cols,
+                data: vec![0.0; rows * cols],
+            },
+            b: vec![0.0; rows],
+        }));
+    }
+    // With fc1's weights present the model runs: fc1 is simply not
+    // compressed.
+    let probe = dsz_nn::Batch::from_features(1, 32, vec![0.1; 32]);
+    let model = CompressedFcModel::new(&net, &only_fc0).unwrap();
+    model.forward(&probe).unwrap();
+    // Strip them and nothing can back fc1.
+    let dsz_nn::Layer::Dense(fc1) = &mut net.layers[1] else {
+        unreachable!()
+    };
+    fc1.w.data.clear();
+    match CompressedFcModel::new(&net, &only_fc0) {
+        Err(DeepSzError::BadContainer(msg)) => assert!(msg.contains("fc layer 1"), "{msg}"),
+        other => panic!("expected BadContainer, got {other:?}"),
+    }
 }

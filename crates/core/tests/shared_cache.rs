@@ -15,16 +15,21 @@
 //!   including under seeded multi-thread cross-model stress.
 //! * **Evict-then-refetch** — layers evicted under quota pressure and
 //!   later refetched decode bit-identical to the first decode.
+//! * **One loop, every source** — the shared-cache source and every other
+//!   weight source (inline decode, prefetch, spill) probe the forward
+//!   hook identically, stop at the same layer boundary when cancelled,
+//!   and return the same bits.
 
 use dsz_core::optimizer::{ChosenLayer, Plan};
 use dsz_core::{
     encode_with_plan_config, CompressedFcModel, CompressedModel, DataCodecKind, DeepSzError,
-    LayerAssessment, SharedLayerCache,
+    ForwardHook, LayerAssessment, SharedLayerCache,
 };
 use dsz_nn::{Batch, FcLayerRef};
 use dsz_sparse::PairArray;
 use dsz_sz::SzConfig;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Two chained fc layers (24×32 then 16×24): dense payloads of 3072 and
 /// 1536 bytes, small enough to sweep quotas around both sizes.
@@ -110,7 +115,7 @@ fn shared_cache_forward_bit_identical_at_every_quota() {
     let x = probe(3, 0xCAFE);
     let reference = CompressedFcModel::new(&net, &model)
         .unwrap()
-        .with_prefetch(false)
+        .with_prefetch_depth(0)
         .forward(&x)
         .unwrap()
         .0;
@@ -185,7 +190,7 @@ fn cancelled_forward_stops_with_cancelled_error() {
     let (out, _) = streaming.forward_cancellable(&x, &|| false).unwrap();
     let reference = CompressedFcModel::new(&net, &model)
         .unwrap()
-        .with_prefetch(false)
+        .with_prefetch_depth(0)
         .forward(&x)
         .unwrap()
         .0;
@@ -218,7 +223,7 @@ fn concurrent_cross_model_stress_respects_quota_and_bits() {
     let ref_a = bits(
         &CompressedFcModel::new(&net_a, &model_a)
             .unwrap()
-            .with_prefetch(false)
+            .with_prefetch_depth(0)
             .forward(&x)
             .unwrap()
             .0,
@@ -226,7 +231,7 @@ fn concurrent_cross_model_stress_respects_quota_and_bits() {
     let ref_b = bits(
         &CompressedFcModel::new(&net_b, &model_b)
             .unwrap()
-            .with_prefetch(false)
+            .with_prefetch_depth(0)
             .forward(&x)
             .unwrap()
             .0,
@@ -290,4 +295,96 @@ fn concurrent_cross_model_stress_respects_quota_and_bits() {
     // consistent.
     shared_a.shared_cache().unwrap().purge();
     assert!(cache.live_bytes() <= quota);
+}
+
+/// Records the fc layer indices the forward loop probes, in order.
+#[derive(Debug, Default)]
+struct Probed(Mutex<Vec<usize>>);
+
+impl ForwardHook for Probed {
+    fn before_layer(&self, layer_index: usize) -> Result<(), DeepSzError> {
+        self.0.lock().unwrap().push(layer_index);
+        Ok(())
+    }
+}
+
+/// Runs `model` with a fresh recording hook (under a 4-worker budget, so
+/// the prefetch sources really overlap) and returns the result plus the
+/// probed layer indices.
+fn probed_forward(
+    model: &CompressedFcModel,
+    x: &Batch,
+    abort: &(dyn Fn() -> bool + Sync),
+) -> (Result<Vec<u32>, DeepSzError>, Vec<usize>) {
+    let hook = Arc::new(Probed::default());
+    let m = model
+        .clone()
+        .with_forward_hook(Some(Arc::clone(&hook) as Arc<dyn ForwardHook>));
+    let out = dsz_tensor::parallel::with_workers(4, || m.forward_cancellable(x, abort));
+    let probed = hook.0.lock().unwrap().clone();
+    (out.map(|(y, _)| bits(&y)), probed)
+}
+
+/// The forward loop's contract is the same whichever weight source a
+/// model runs: the hook sees every fc layer once, in order; an abort
+/// between layers stops the pass with `Cancelled` before the next probe;
+/// and the outputs are bit-identical across sources.
+#[test]
+fn forward_loop_contract_holds_on_every_weight_source() {
+    let (net, model) = fixture(0x59A);
+    let x = probe(3, 0x1F0);
+    let dir = std::env::temp_dir().join(format!("dsz-sources-{}", std::process::id()));
+    let base = || CompressedFcModel::new(&net, &model).unwrap();
+    // Park both layers in the spill files first, so the shared source's
+    // cold path (quota 0: every lookup misses) rehydrates from them.
+    let spilled = base().with_spill_dir(dir.join("shared"), 0).unwrap();
+    spilled.forward(&x).unwrap();
+    let sources = [
+        ("depth 0", base().with_prefetch_depth(0)),
+        ("depth 1", base().with_prefetch_depth(1)),
+        ("depth 2", base().with_prefetch_depth(2)),
+        (
+            "spill at quota 0",
+            base().with_spill_dir(dir.join("spill"), 0).unwrap(),
+        ),
+        (
+            "shared",
+            base().with_shared_cache(SharedLayerCache::new(1 << 20).handle()),
+        ),
+        (
+            "shared with spill",
+            spilled
+                .clone()
+                .with_shared_cache(SharedLayerCache::new(0).handle()),
+        ),
+    ];
+    let fc_layers = vec![0usize, 1];
+    let mut reference: Option<Vec<u32>> = None;
+    for (name, m) in &sources {
+        // Two passes: the second one runs on warm caches / spill files.
+        for pass in 0..2 {
+            let (out, probed) = probed_forward(m, &x, &|| false);
+            let out = out.unwrap_or_else(|e| panic!("{name} pass {pass}: {e}"));
+            assert_eq!(probed, fc_layers, "{name} pass {pass}: hook probes");
+            match &reference {
+                None => reference = Some(out),
+                Some(r) => assert_eq!(&out, r, "{name} pass {pass}: output bits"),
+            }
+        }
+        // The probe passes the first layer boundary and fires at the next.
+        let boundaries = AtomicUsize::new(0);
+        let abort = || boundaries.fetch_add(1, Ordering::Relaxed) >= 1;
+        let (out, probed) = probed_forward(m, &x, &abort);
+        assert!(
+            matches!(out, Err(DeepSzError::Cancelled)),
+            "{name}: expected Cancelled, got {out:?}"
+        );
+        assert_eq!(probed, [0], "{name}: no probe after the abort");
+    }
+    let rehydrated = spilled.spill_stats().unwrap().rehydrates;
+    assert_eq!(
+        rehydrated, 2,
+        "the shared source fell back to the spill files"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

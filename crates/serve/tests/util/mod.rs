@@ -96,7 +96,7 @@ pub fn serial_reference(net: &dsz_nn::Network, container: &[u8], input: &[f32]) 
     };
     let streaming = dsz_core::CompressedFcModel::new(net, &model)
         .unwrap()
-        .with_prefetch(false);
+        .with_prefetch_depth(0);
     let x = dsz_nn::Batch::from_features(1, FEATURES, input.to_vec());
     streaming.forward(&x).unwrap().0.data
 }

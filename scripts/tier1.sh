@@ -53,6 +53,11 @@ for t in 1 4; do
   DSZ_THREADS=$t cargo test -q -p dsz_serve --test chaos
   DSZ_THREADS=$t cargo test -q -p dsz_serve --test degraded
 done
+# The benchmark's own tests (quartiles, percentiles, Poisson schedules,
+# span self times, the JSON reader, and the metric lists matching
+# BENCHMARK.json). perfbench is a separate package with its own
+# workspace, so the workspace sweeps above never run them.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # Smoke-test the full user-facing pipeline (train → prune → assess →
 # optimize → encode → decode) exactly as the README-level docs run it.
 cargo run --release --example quickstart >/dev/null

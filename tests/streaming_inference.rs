@@ -52,7 +52,7 @@ fn peak_memory_is_bounded_by_largest_layer() {
     // Prefetch off: the strict memory bound of one resident layer.
     let streaming = CompressedFcModel::new(&net, &model)
         .unwrap()
-        .with_prefetch(false);
+        .with_prefetch_depth(0);
     let probe = test.batch(0, 16);
     let (_, stats) = streaming.forward(&probe).unwrap();
     // Peak = largest single fc layer (ip1: 300×784), not the sum.
@@ -81,7 +81,7 @@ fn prefetch_holds_at_most_two_layers_and_matches_serial() {
         deepsz::tensor::parallel::with_workers(4, || streaming.forward(&probe)).unwrap();
     let serial = CompressedFcModel::new(&net, &model)
         .unwrap()
-        .with_prefetch(false);
+        .with_prefetch_depth(0);
     let (out_ser, stats_ser) = serial.forward(&probe).unwrap();
     // Overlapped decode must not change the numerics.
     assert_eq!(out_pre, out_ser);
