@@ -14,17 +14,14 @@ use dsz_bench::workloads::{paper_error_bounds, reduced_pruning_densities};
 use dsz_core::optimizer::{ChosenLayer, Plan};
 use dsz_core::{
     assess_network, assess_network_full, decode_model, encode_to_writer, encode_to_writer_config,
-    encode_with_plan, encode_with_plan_config, encode_with_plan_v2, verify_container,
-    AssessmentConfig, DataCodecKind, DatasetEvaluator, EncodeStreamConfig, LayerAssessment,
-    SeekableContainer, SharedLayerCache, SpillCache,
+    encode_with_plan, verify_container, AssessmentConfig, DataCodecKind, DatasetEvaluator,
+    EncodeStreamConfig, LayerAssessment, SeekableContainer, SharedLayerCache, SpillCache,
 };
 use dsz_datagen::features;
 use dsz_nn::{zoo, Arch, DenseLayer, Layer, Network, Scale};
 use dsz_sparse::PairArray;
-use dsz_sz::{ErrorBound, SzConfig, SzFormat};
-use dsz_tensor::parallel::{
-    clamp_to_host, layout_workers, parallel_map, with_workers, worker_count,
-};
+use dsz_sz::{ErrorBound, SzConfig};
+use dsz_tensor::parallel::{clamp_to_host, parallel_map, with_workers, worker_count};
 use dsz_tensor::{Matrix, VolShape};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -41,6 +38,18 @@ fn median_ms<F: FnMut()>(runs: usize, mut f: F) -> f64 {
         .collect();
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     times[times.len() / 2]
+}
+
+/// Median per-call wall time (µs) over `runs` samples of `iters`
+/// back-to-back calls — for operations too fast to time one call at a
+/// time (a single sub-microsecond call rounds to zero in ms).
+fn median_us_per_call<F: FnMut()>(runs: usize, iters: usize, mut f: F) -> f64 {
+    median_ms(runs, || {
+        for _ in 0..iters {
+            f();
+        }
+    }) * 1e3
+        / iters as f64
 }
 
 /// The pre-pool per-call `std::thread::scope` parallel map, preserved here
@@ -185,35 +194,15 @@ fn main() {
     }
     let mut rows: Vec<Row> = Vec::new();
     let (model, report) = encode_with_plan(&assessments, &plan).expect("encode");
-    // Same stack through the SZ v2 layout at the same (adaptive) chunk
-    // geometry, so the ratio isolates exactly what the default (v4)
-    // changes — one shared, backend-compressed Huffman table instead of a
-    // code book per chunk — and tracks it across PRs. Layers whose codec
-    // competition picked ZFP are identical on both sides.
-    let v2_cfg = SzConfig {
-        format: SzFormat::V2,
-        ..SzConfig::default()
-    };
-    let (_, v2_report) = encode_with_plan_config(&assessments, &plan, &v2_cfg).expect("v2 encode");
-    // Container-generation overhead: the same layer streams in a DSZM v2
-    // container (no footer/checksums) vs the default v3, plus the cost of
-    // the full integrity pass (`verify_container`: trailer + whole-container
-    // FNV + footer cross-checks, no decompression). Distinct from the SZ
-    // *stream* v4-vs-v2 ratio above — this one isolates the container
-    // framing itself.
-    let (v2_container, _) = encode_with_plan_v2(&assessments, &plan, &SzConfig::default())
-        .expect("v2 container encode");
-    let container_v3_over_v2_size_ratio =
-        model.bytes.len() as f64 / (v2_container.bytes.len().max(1)) as f64;
+    // The cost of the full integrity pass (`verify_container`: trailer +
+    // whole-container FNV + footer cross-checks, no decompression).
     let checksum_verify_ms = median_ms(9, || {
         let _ = verify_container(&model).expect("intact container verifies");
     });
     println!(
-        "container integrity: verify_container {:.3} ms; v3 container {} bytes vs v2 {} bytes (v3/v2 = {:.4})",
+        "container integrity: verify_container {:.3} ms over {} bytes",
         checksum_verify_ms,
-        model.bytes.len(),
-        v2_container.bytes.len(),
-        container_v3_over_v2_size_ratio
+        model.bytes.len()
     );
     // Largest layer's SZ stream alone (chunk-level parallelism, no
     // container framing or sparse reconstruction).
@@ -294,8 +283,8 @@ fn main() {
     // vs the full sequential decode above. The half-decode acceptance
     // bound is deliberately loose — on this 3-layer stack one layer is
     // roughly a third of the work.
-    let seek_open_ms = median_ms(9, || {
-        let _ = SeekableContainer::open_slice(&model.bytes).expect("seek open");
+    let seek_open_us = median_us_per_call(9, 1000, || {
+        std::hint::black_box(SeekableContainer::open_slice(&model.bytes).expect("seek open"));
     });
     let seek = SeekableContainer::open_slice(&model.bytes).expect("seek open");
     let mid = seek.layer_count() / 2;
@@ -339,15 +328,15 @@ fn main() {
         let _ = layer_fetch(i);
     }
     let shared_cache_cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let shared_cache_hot_ms = median_ms(9, || {
+    let shared_cache_hot_us = median_us_per_call(9, 1000, || {
         for i in 0..seek.layer_count() {
-            let _ = layer_fetch(i);
+            std::hint::black_box(layer_fetch(i));
         }
     });
     let cache_hit_rate = shared_cache.stats().hit_rate();
     println!(
-        "random access: seek open {:.3} ms, layer {}/{} decode {:.3} ms (full decode {:.1} ms); spill rehydrate {:.3} ms for {} weights",
-        seek_open_ms,
+        "random access: seek open {:.3} µs, layer {}/{} decode {:.3} ms (full decode {:.1} ms); spill rehydrate {:.3} ms for {} weights",
+        seek_open_us,
         mid,
         seek.layer_count(),
         random_access_layer_ms,
@@ -356,8 +345,8 @@ fn main() {
         spill_payload.len()
     );
     println!(
-        "shared layer cache: cold stack pass {:.3} ms, hot pass {:.3} ms, hit rate {:.3}",
-        shared_cache_cold_ms, shared_cache_hot_ms, cache_hit_rate
+        "shared layer cache: cold stack pass {:.3} ms, hot pass {:.3} µs, hit rate {:.3}",
+        shared_cache_cold_ms, shared_cache_hot_us, cache_hit_rate
     );
 
     let base = &rows[0];
@@ -400,11 +389,9 @@ fn main() {
         .filter(|l| l.data_codec == DataCodecKind::Zfp)
         .count();
     println!(
-        "container: {} bytes (default SZ v4), fc compression ratio {:.1}x; SZ v2 layout would be {} bytes (default/v2 = {:.4})",
+        "container: {} bytes (SZ v4 in DSZM v4), fc compression ratio {:.1}x",
         report.total_bytes,
-        report.ratio(),
-        v2_report.total_bytes,
-        report.total_bytes as f64 / v2_report.total_bytes.max(1) as f64
+        report.ratio()
     );
     println!(
         "per-layer codec competition: {} of {} layers chose ZFP ({})",
@@ -483,26 +470,10 @@ fn main() {
     json.push_str(&format!("  \"dense_weights\": {},\n", n_weights));
     json.push_str(&format!("  \"container_bytes\": {},\n", report.total_bytes));
     json.push_str(&format!(
-        "  \"container_bytes_v2\": {},\n",
-        v2_report.total_bytes
-    ));
-    json.push_str(&format!(
-        "  \"default_over_v2_size_ratio\": {:.4},\n",
-        report.total_bytes as f64 / v2_report.total_bytes.max(1) as f64
-    ));
-    json.push_str(&format!(
-        "  \"container_bytes_dszm_v2\": {},\n",
-        v2_container.bytes.len()
-    ));
-    json.push_str(&format!(
-        "  \"container_v3_over_v2_size_ratio\": {:.4},\n",
-        container_v3_over_v2_size_ratio
-    ));
-    json.push_str(&format!(
         "  \"checksum_verify_ms\": {:.3},\n",
         checksum_verify_ms
     ));
-    json.push_str(&format!("  \"seek_open_ms\": {:.3},\n", seek_open_ms));
+    json.push_str(&format!("  \"seek_open_us\": {:.3},\n", seek_open_us));
     json.push_str(&format!(
         "  \"random_access_layer_ms\": {:.3},\n",
         random_access_layer_ms
@@ -516,8 +487,8 @@ fn main() {
         shared_cache_cold_ms
     ));
     json.push_str(&format!(
-        "  \"shared_cache_hot_ms\": {:.3},\n",
-        shared_cache_hot_ms
+        "  \"shared_cache_hot_us\": {:.3},\n",
+        shared_cache_hot_us
     ));
     json.push_str(&format!("  \"cache_hit_rate\": {:.4},\n", cache_hit_rate));
     json.push_str(&format!(
@@ -555,7 +526,6 @@ fn main() {
         report.ratio()
     ));
     json.push_str(&format!("  \"host_parallelism\": {},\n", host));
-    json.push_str(&format!("  \"layout_workers\": {},\n", layout_workers()));
     json.push_str(&format!(
         "  \"pool_bench_workers\": {},\n",
         pool_bench_workers

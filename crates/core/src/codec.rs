@@ -11,9 +11,9 @@
 //! (Weightless-style encodings differ enough per layer that the global
 //! winner is not always the local one).
 //!
-//! * [`SzCodec`] wraps [`dsz_sz`] — every stream format ([`SzFormat`])
-//!   behind one `SzConfig`, decode dispatching on the stream's own
-//!   version byte.
+//! * [`SzCodec`] wraps [`dsz_sz`] — encode writes the v4 stream under
+//!   one `SzConfig`, decode dispatches on the stream's own version byte
+//!   (v1–v4).
 //! * [`ZfpCodec`] wraps [`dsz_zfp`] — the paper's competing
 //!   fixed-accuracy compressor.
 //!
@@ -166,12 +166,12 @@ pub fn compete(
     }
 }
 
-/// [`DataCodec`] over the SZ pipeline ([`dsz_sz`]), in whatever stream
-/// format and tuning `config` selects. Decode accepts every SZ stream
+/// [`DataCodec`] over the SZ pipeline ([`dsz_sz`]): encodes SZ v4 streams
+/// with the tuning `config` selects. Decode accepts every SZ stream
 /// version via the version-byte dispatch.
 #[derive(Debug, Clone, Copy)]
 pub struct SzCodec {
-    /// Full SZ tuning, including [`dsz_sz::SzFormat`] and chunk geometry.
+    /// Full SZ tuning, including chunk geometry.
     pub config: SzConfig,
 }
 

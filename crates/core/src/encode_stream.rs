@@ -1,10 +1,8 @@
 //! Streaming operator-pipeline encode — bounded-memory compressed model
 //! generation with IO-overlapped container writes.
 //!
-//! The batch encoder materialized every layer's compressed blobs before
-//! serializing any container byte, so peak memory grew with the whole
-//! model. This module restructures encoding as a graph of composable
-//! streaming **operators**:
+//! Encoding is a graph of composable streaming **operators**, so peak
+//! memory does not grow with the whole model:
 //!
 //! ```text
 //! read_block ─ condense ─ quantize/entropy-code ─ block-align ─ container-write
@@ -20,9 +18,10 @@
 //! of decode's `with_decoded_bytes_budget`) and the ledger's high-water
 //! mark is reported as [`EncodeReport::peak_buffered_bytes`].
 //!
-//! Container bytes are **bit-identical** to the batch encoder's for
-//! every worker count, chunk geometry, and budget — pinned by the
-//! golden-bytes tests and `tests/streaming_encode.rs`. Buffer-ring
+//! This is the only container encoder, and it writes DSZM v4 only.
+//! Container bytes are **bit-identical** for every worker count and
+//! budget — pinned by the golden-bytes tests and
+//! `tests/streaming_encode.rs`. Buffer-ring
 //! ownership and the budget's mandatory-floor rule are documented in
 //! `docs/STREAMING_ENCODE.md`.
 
@@ -33,7 +32,7 @@
 use crate::assessment::LayerAssessment;
 use crate::codec::DataCodecKind;
 use crate::optimizer::Plan;
-use crate::pipeline::{ContainerWriter, EncodeReport, EncodedLayerReport, RecordMeta, VERSION_V4};
+use crate::pipeline::{ContainerWriter, EncodeReport, EncodedLayerReport, RecordMeta};
 use crate::DeepSzError;
 use dsz_lossless::{fnv1a, Fnv1a};
 use dsz_sz::{ChunkSink, ErrorBound};
@@ -160,7 +159,7 @@ struct LayerArtifact {
 /// Streams a DSZM v4 container for `plan` straight into `w` with default
 /// SZ configuration and an unbounded buffer budget. The bytes written
 /// are exactly [`crate::pipeline::encode_with_plan`]'s container — that
-/// function is now a thin wrapper that points this path at a `Vec`.
+/// function is a thin wrapper that points this path at a `Vec`.
 pub fn encode_to_writer<W: Write>(
     assessments: &[LayerAssessment],
     plan: &Plan,
@@ -176,7 +175,7 @@ pub fn encode_to_writer<W: Write>(
 }
 
 /// [`encode_to_writer`] with explicit SZ and streaming configuration —
-/// pin a stream format or chunk size, or cap the encode buffer ledger
+/// pin a chunk size, or cap the encode buffer ledger
 /// with [`EncodeStreamConfig::encode_bytes_budget`].
 pub fn encode_to_writer_config<W: Write>(
     assessments: &[LayerAssessment],
@@ -185,12 +184,11 @@ pub fn encode_to_writer_config<W: Write>(
     cfg: &EncodeStreamConfig,
     w: W,
 ) -> Result<EncodeReport, DeepSzError> {
-    let (_, report) = encode_container_stream(assessments, plan, sz, cfg, VERSION_V4, w)?;
+    let (_, report) = encode_container_stream(assessments, plan, sz, cfg, w)?;
     Ok(report)
 }
 
-/// The streaming encode engine, generic over container version and
-/// output writer. Layer compression fans out across the worker pool
+/// The streaming encode engine, generic over the output writer. Layer compression fans out across the worker pool
 /// (unbounded budget) or proceeds one layer at a time (bounded budget);
 /// the container-write stage consumes artifacts in strict layer order on
 /// the calling thread, so the byte stream is deterministic for any
@@ -200,7 +198,6 @@ pub(crate) fn encode_container_stream<W: Write>(
     plan: &Plan,
     sz: &dsz_sz::SzConfig,
     cfg: &EncodeStreamConfig,
-    version: u8,
     w: W,
 ) -> Result<(W, EncodeReport), DeepSzError> {
     assert_eq!(
@@ -221,7 +218,7 @@ pub(crate) fn encode_container_stream<W: Write>(
         default_window()
     };
 
-    let mut writer = ContainerWriter::new(w, version, n)?;
+    let mut writer = ContainerWriter::new(w, n)?;
     let mut reports: Vec<EncodedLayerReport> = Vec::with_capacity(n);
     let mut total_dense = 0usize;
 

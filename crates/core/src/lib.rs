@@ -53,9 +53,8 @@ pub use layer_cache::{CacheHandle, CacheStats, SharedLayerCache};
 pub use linearity::{linearity_experiment, LinearityPoint};
 pub use optimizer::{optimize_for_accuracy, optimize_for_size, ChosenLayer, Plan};
 pub use pipeline::{
-    apply_decoded, decode_model, encode_with_plan, encode_with_plan_config, encode_with_plan_v1,
-    encode_with_plan_v2, encode_with_plan_v3, rewrite_layer_data, verify_container,
-    CompressedModel, DecodeTiming, DecodedLayer, EncodeReport,
+    apply_decoded, decode_model, encode_with_plan, encode_with_plan_config, rewrite_layer_data,
+    verify_container, CompressedModel, DecodeTiming, DecodedLayer, EncodeReport,
 };
 pub use seek::{ByteSource, FileSource, SeekableContainer};
 pub use spill::{SpillCache, SpillStats};

@@ -12,13 +12,10 @@
 //! sparse-matrix reconstruction — and reports the time spent in each,
 //! which is exactly the breakdown of the paper's Figure 7b.
 //!
-//! Older DSZM generations (v3: checksummed but unaligned; v2: no
-//! integrity data; v1: no codec id, data always an SZ stream) keep
-//! decoding via the version-byte dispatch, mirroring the SZ v1/v2/v3/v4
-//! stream precedent; [`encode_with_plan_v3`]/[`encode_with_plan_v2`]/
-//! [`encode_with_plan_v1`] still emit them for compatibility artifacts
-//! (v1 rejects plans that chose a non-SZ codec anywhere, since it
-//! cannot represent that).
+//! v4 is the only container the encoder writes. Older DSZM generations
+//! (v3: checksummed but unaligned; v2: no integrity data; v1: no codec id,
+//! data always an SZ stream) keep decoding via the version-byte dispatch,
+//! mirroring the SZ v1/v2/v3/v4 stream precedent.
 //!
 //! # Threading model
 //!
@@ -212,92 +209,23 @@ pub fn encode_with_plan(
 }
 
 /// [`encode_with_plan`] with an explicit SZ configuration, so callers can
-/// pin a stream format (e.g. [`dsz_sz::SzFormat::V2`] for compatibility
-/// artifacts or A/B size comparisons) or a fixed chunk size for the
-/// layers whose chosen codec is SZ. The decode path needs no matching
-/// knob — every data stream is self-describing, and the container's
-/// per-layer codec id picks the decoder.
+/// pin SZ tuning (e.g. a fixed chunk size) for the layers whose chosen
+/// codec is SZ. The decode path needs no matching knob — every data
+/// stream is self-describing, and the container's per-layer codec id
+/// picks the decoder.
+///
+/// This is the streaming engine ([`crate::encode_stream`]) with an
+/// unbounded buffer budget, writing into a `Vec`.
 pub fn encode_with_plan_config(
     assessments: &[LayerAssessment],
     plan: &Plan,
     sz: &dsz_sz::SzConfig,
-) -> Result<(CompressedModel, EncodeReport), DeepSzError> {
-    encode_container(assessments, plan, sz, VERSION_V4)
-}
-
-/// Emits the DSZM v3 container layout — the v4 layout minus record
-/// alignment and the per-record digest — for compatibility artifacts and
-/// the golden-bytes tests that pin v3 decode. Prefer the default
-/// ([`encode_with_plan`]): v3's footer checksums cover only the data/index
-/// blobs, so the seekable reader's *per-layer* verification is weaker on
-/// v3 than on v4 (whole-container verification is equally strong on both;
-/// see `docs/ROBUSTNESS.md`).
-pub fn encode_with_plan_v3(
-    assessments: &[LayerAssessment],
-    plan: &Plan,
-    sz: &dsz_sz::SzConfig,
-) -> Result<(CompressedModel, EncodeReport), DeepSzError> {
-    encode_container(assessments, plan, sz, VERSION_V3)
-}
-
-/// Emits the DSZM v2 container layout — the v3 record layout minus the
-/// checksummed footer/trailer — for compatibility artifacts, size A/Bs
-/// (the bench tracks the v3-over-v2 integrity tax), and the golden-bytes
-/// tests that pin v2 decode. Prefer the default ([`encode_with_plan`]):
-/// v2 containers carry no integrity information, so storage corruption
-/// can surface as plausible-but-wrong weights instead of an error.
-pub fn encode_with_plan_v2(
-    assessments: &[LayerAssessment],
-    plan: &Plan,
-    sz: &dsz_sz::SzConfig,
-) -> Result<(CompressedModel, EncodeReport), DeepSzError> {
-    encode_container(assessments, plan, sz, VERSION_V2)
-}
-
-/// Emits the legacy DSZM v1 container layout (no per-layer codec id) for
-/// compatibility artifacts and the golden-bytes tests that pin v1 decode.
-/// Errors if any layer's chosen codec is not SZ — v1 records cannot name
-/// a codec, so SZ is the only thing they can carry. For the same reason
-/// an [`dsz_sz::SzFormat::V4`] configuration is clamped to
-/// [`dsz_sz::SzFormat::V3`]: the v1 container era predates the v4
-/// stream, so its readers reject v4 layers, and a compatibility artifact
-/// they cannot decode would be useless.
-pub fn encode_with_plan_v1(
-    assessments: &[LayerAssessment],
-    plan: &Plan,
-    sz: &dsz_sz::SzConfig,
-) -> Result<(CompressedModel, EncodeReport), DeepSzError> {
-    if let Some(c) = plan.layers.iter().find(|c| c.codec != DataCodecKind::Sz) {
-        return Err(DeepSzError::BadContainer(format!(
-            "DSZM v1 cannot represent codec {} chosen for layer {}; encode a v2 container",
-            c.codec.name(),
-            c.fc.name
-        )));
-    }
-    let mut sz = *sz;
-    if sz.format == dsz_sz::SzFormat::V4 {
-        sz.format = dsz_sz::SzFormat::V3;
-    }
-    encode_container(assessments, plan, &sz, VERSION_V1)
-}
-
-/// Every encoder version now routes through the streaming engine
-/// ([`crate::encode_stream`]) with an unbounded buffer budget, writing
-/// into a `Vec` — the "thin materializing wrapper". The container bytes
-/// are pinned bit-identical to the historical batch serializer by the
-/// golden-bytes tests for all four container versions.
-fn encode_container(
-    assessments: &[LayerAssessment],
-    plan: &Plan,
-    sz: &dsz_sz::SzConfig,
-    version: u8,
 ) -> Result<(CompressedModel, EncodeReport), DeepSzError> {
     let (bytes, report) = crate::encode_stream::encode_container_stream(
         assessments,
         plan,
         sz,
         &crate::encode_stream::EncodeStreamConfig::default(),
-        version,
         Vec::new(),
     )?;
     Ok((CompressedModel { bytes }, report))
@@ -317,22 +245,20 @@ pub(crate) struct RecordMeta<'a> {
     pub(crate) index_codec: LosslessKind,
 }
 
-/// Streams a DSZM container (any version) to a `std::io::Write`, with
-/// the footer/trailer checksums accumulated incrementally as bytes are
+/// Streams a DSZM v4 container to a `std::io::Write`, with the
+/// footer/trailer checksums accumulated incrementally as bytes are
 /// emitted — no record `Vec` concatenation and no second pass over a
-/// materialized buffer. The byte sequence is exactly the historical
-/// batch serializer's: header, 64-byte-aligned records (v4), footer
-/// index with per-record ordinal-tagged digests (v4), fixed trailer
-/// (v3/v4). Memory held per record is only its two compressed blobs;
-/// the footer bookkeeping is O(layers).
+/// materialized buffer. The byte sequence is: header, 64-byte-aligned
+/// records, footer index with per-record ordinal-tagged digests, fixed
+/// trailer. Memory held per record is only its two compressed blobs; the
+/// footer bookkeeping is O(layers).
 pub(crate) struct ContainerWriter<W: std::io::Write> {
     w: W,
-    version: u8,
     /// Bytes emitted so far — record offsets and the footer offset.
     written: usize,
-    /// Running whole-container digest (v3/v4 trailer).
+    /// Running whole-container digest (trailer).
     container_fnv: Fnv1a,
-    /// Running ordinal-tagged digest of the record being written (v4).
+    /// Running ordinal-tagged digest of the record being written.
     rec_fnv: Option<Fnv1a>,
     /// Per-record footer entries: offset, len, record/data/index digests.
     footer: Vec<(usize, usize, u64, u64, u64)>,
@@ -342,10 +268,9 @@ pub(crate) struct ContainerWriter<W: std::io::Write> {
 
 impl<W: std::io::Write> ContainerWriter<W> {
     /// Writes the container header and returns the writer.
-    pub(crate) fn new(w: W, version: u8, n_layers: usize) -> Result<Self, DeepSzError> {
+    pub(crate) fn new(w: W, n_layers: usize) -> Result<Self, DeepSzError> {
         let mut cw = Self {
             w,
-            version,
             written: 0,
             container_fnv: Fnv1a::new(),
             rec_fnv: None,
@@ -354,7 +279,7 @@ impl<W: std::io::Write> ContainerWriter<W> {
         };
         let mut head = Vec::with_capacity(16);
         head.extend_from_slice(MAGIC);
-        head.push(version);
+        head.push(VERSION_V4);
         write_varint(&mut head, n_layers as u64);
         cw.emit(&head)?;
         Ok(cw)
@@ -383,16 +308,14 @@ impl<W: std::io::Write> ContainerWriter<W> {
         idx_blob: &[u8],
         idx_fnv: u64,
     ) -> Result<(), DeepSzError> {
-        if self.version >= VERSION_V4 {
-            // Zero-pad so the record starts on a 64-byte boundary: the
-            // seekable reader's footer-driven slices become page-friendly
-            // and never split a record across an alignment unit head.
-            let pad = self.written.div_ceil(RECORD_ALIGN) * RECORD_ALIGN - self.written;
-            self.emit(&ZERO_PAD[..pad])?;
-            // The v4 per-record digest spans the record bytes (not the
-            // padding), tagged with the record's footer ordinal.
-            self.rec_fnv = Some(Fnv1a::with_tag(self.footer.len() as u64));
-        }
+        // Zero-pad so the record starts on a 64-byte boundary: the
+        // seekable reader's footer-driven slices become page-friendly and
+        // never split a record across an alignment unit head.
+        let pad = self.written.div_ceil(RECORD_ALIGN) * RECORD_ALIGN - self.written;
+        self.emit(&ZERO_PAD[..pad])?;
+        // The per-record digest spans the record bytes (not the padding),
+        // tagged with the record's footer ordinal.
+        self.rec_fnv = Some(Fnv1a::with_tag(self.footer.len() as u64));
         let record_start = self.written;
         let mut head = std::mem::take(&mut self.scratch);
         head.clear();
@@ -402,9 +325,7 @@ impl<W: std::io::Write> ContainerWriter<W> {
         write_varint(&mut head, meta.rows as u64);
         write_varint(&mut head, meta.cols as u64);
         head.extend_from_slice(&meta.eb.to_le_bytes());
-        if self.version >= VERSION_V2 {
-            head.push(meta.data_codec.id());
-        }
+        head.push(meta.data_codec.id());
         head.push(meta.index_codec.id());
         write_varint(&mut head, data_blob.len() as u64);
         self.emit(&head)?;
@@ -415,52 +336,42 @@ impl<W: std::io::Write> ContainerWriter<W> {
         self.emit(idx_blob)?;
         self.scratch = head;
         let rec_fnv = self.rec_fnv.take().map_or(0, |h| h.finish());
-        if self.version >= VERSION_V3 {
-            self.footer.push((
-                record_start,
-                self.written - record_start,
-                rec_fnv,
-                data_fnv,
-                idx_fnv,
-            ));
-        }
+        self.footer.push((
+            record_start,
+            self.written - record_start,
+            rec_fnv,
+            data_fnv,
+            idx_fnv,
+        ));
         Ok(())
     }
 
-    /// Writes the footer + trailer (v3/v4) and returns the inner writer
-    /// and the total container length.
+    /// Writes the footer + trailer and returns the inner writer and the
+    /// total container length.
     pub(crate) fn finish(mut self) -> Result<(W, usize), DeepSzError> {
-        if self.version >= VERSION_V3 {
-            // Footer index (per-layer spans + checksums), then the fixed
-            // trailer: footer offset, whole-container FNV over every byte
-            // that precedes the checksum field, closing magic. v4 entries
-            // add the per-record digest accumulated in `write_record` so
-            // a seekable reader can verify one layer without touching the
-            // rest. See `docs/FORMAT.md`.
-            let footer_start = self.written as u64;
-            let mut buf = std::mem::take(&mut self.scratch);
-            buf.clear();
-            for &(off, len, rec_fnv, data_fnv, idx_fnv) in &self.footer {
-                write_varint(&mut buf, off as u64);
-                write_varint(&mut buf, len as u64);
-                if self.version >= VERSION_V4 {
-                    buf.extend_from_slice(&rec_fnv.to_le_bytes());
-                }
-                buf.extend_from_slice(&data_fnv.to_le_bytes());
-                buf.extend_from_slice(&idx_fnv.to_le_bytes());
-            }
-            buf.extend_from_slice(&footer_start.to_le_bytes());
-            self.emit(&buf)?;
-            // The container digest covers everything before its own field.
-            let mut tail = [0u8; TRAILER_LEN - 8];
-            tail[..8].copy_from_slice(&self.container_fnv.finish().to_le_bytes());
-            tail[8..].copy_from_slice(if self.version >= VERSION_V4 {
-                TRAILER_MAGIC_V4
-            } else {
-                TRAILER_MAGIC_V3
-            });
-            self.emit(&tail)?;
+        // Footer index (per-layer spans + checksums), then the fixed
+        // trailer: footer offset, whole-container FNV over every byte that
+        // precedes the checksum field, closing magic. Each entry carries
+        // the per-record digest accumulated in `write_record` so a
+        // seekable reader can verify one layer without touching the rest.
+        // See `docs/FORMAT.md`.
+        let footer_start = self.written as u64;
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        for &(off, len, rec_fnv, data_fnv, idx_fnv) in &self.footer {
+            write_varint(&mut buf, off as u64);
+            write_varint(&mut buf, len as u64);
+            buf.extend_from_slice(&rec_fnv.to_le_bytes());
+            buf.extend_from_slice(&data_fnv.to_le_bytes());
+            buf.extend_from_slice(&idx_fnv.to_le_bytes());
         }
+        buf.extend_from_slice(&footer_start.to_le_bytes());
+        self.emit(&buf)?;
+        // The container digest covers everything before its own field.
+        let mut tail = [0u8; TRAILER_LEN - 8];
+        tail[..8].copy_from_slice(&self.container_fnv.finish().to_le_bytes());
+        tail[8..].copy_from_slice(TRAILER_MAGIC_V4);
+        self.emit(&tail)?;
         self.w.flush()?;
         Ok((self.w, self.written))
     }
@@ -774,23 +685,30 @@ pub fn verify_container(model: &CompressedModel) -> Result<usize, DeepSzError> {
 /// container trips the trailer FNV in [`parse_records`] and never reaches
 /// the decoder, which is exactly the wrong failure to exercise.
 ///
-/// The rewritten container keeps the input's version byte and record
-/// order; every other record is carried through bit-identically.
+/// The input must be a v4 container (the only version the writer emits);
+/// anything older is refused with [`DeepSzError::BadContainer`]. The
+/// rewritten container keeps the record order; every other record is
+/// carried through bit-identically.
 pub fn rewrite_layer_data(
     container: &[u8],
     ordinal: usize,
     mutate: impl FnOnce(&mut Vec<u8>),
 ) -> Result<Vec<u8>, DeepSzError> {
     let records = parse_records(container)?;
+    // parse_records validated the header, so the version byte is present.
+    if container[4] != VERSION_V4 {
+        return Err(DeepSzError::BadContainer(format!(
+            "rewrite needs a v{VERSION_V4} container, got v{}",
+            container[4]
+        )));
+    }
     if ordinal >= records.len() {
         return Err(DeepSzError::BadContainer(format!(
             "rewrite target ordinal {ordinal} out of range ({} records)",
             records.len()
         )));
     }
-    // parse_records validated the header, so the version byte is present.
-    let version = container[4];
-    let mut w = ContainerWriter::new(Vec::new(), version, records.len())?;
+    let mut w = ContainerWriter::new(Vec::new(), records.len())?;
     let mut mutate = Some(mutate);
     for (i, r) in records.iter().enumerate() {
         let mut data = r.data_blob.to_vec();

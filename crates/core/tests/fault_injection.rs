@@ -21,17 +21,39 @@
 //!
 //! Every mutation is a pure function of its seed, so a failure replays
 //! exactly from the seed in the panic message.
+//!
+//! The v4 artifacts are written fresh by today's encoder. The v1–v3
+//! artifacts come from `tests/fixtures/`: the exact bytes the retired
+//! v1–v3 writers produced for the fixtures below (same inputs, same
+//! `pinned_sz` geometry), so every campaign mutates byte-identical
+//! inputs to the ones it ran on when those writers existed.
 
 use dsz_core::optimizer::{ChosenLayer, Plan};
 use dsz_core::{
-    decode_model, encode_with_plan_config, encode_with_plan_v1, encode_with_plan_v2,
-    encode_with_plan_v3, verify_container, CompressedFcModel, CompressedModel, DataCodecKind,
-    DecodePolicy, DeepSzError, LayerAssessment,
+    decode_model, encode_with_plan_config, verify_container, CompressedFcModel, CompressedModel,
+    DataCodecKind, DecodePolicy, DeepSzError, LayerAssessment,
 };
 use dsz_datagen::corrupt::Corruptor;
 use dsz_nn::FcLayerRef;
 use dsz_sparse::PairArray;
-use dsz_sz::{ErrorBound, SzConfig, SzFormat};
+use dsz_sz::{ErrorBound, SzConfig};
+
+/// SZ v1/v2/v3 streams of `trained_fc_weights(48, 40, 0x5EED)` at
+/// eb = 1e-3 under [`pinned_sz`].
+const SZ_V1: &[u8] = include_bytes!("fixtures/sz_v1_48x40.bin");
+const SZ_V2: &[u8] = include_bytes!("fixtures/sz_v2_48x40.bin");
+const SZ_V3: &[u8] = include_bytes!("fixtures/sz_v3_48x40.bin");
+/// DSZM v1/v2/v3 containers of [`fixture`] under [`pinned_sz`] (the v1
+/// container embeds SZ v3 streams, v2 and v3 embed SZ v4 streams).
+const DSZM_V1: &[u8] = include_bytes!("fixtures/dszm_v1.bin");
+const DSZM_V2: &[u8] = include_bytes!("fixtures/dszm_v2.bin");
+const DSZM_V3: &[u8] = include_bytes!("fixtures/dszm_v3.bin");
+
+fn model(bytes: &[u8]) -> CompressedModel {
+    CompressedModel {
+        bytes: bytes.to_vec(),
+    }
+}
 
 /// Seeded mutations per format generation (the acceptance floor is 1000).
 const CAMPAIGN: u64 = 1200;
@@ -121,18 +143,12 @@ fn campaign(generation: &str, base: &[u8], checksummed: bool, decode: impl Fn(&[
 #[test]
 fn sz_stream_generations_never_panic() {
     let data = dsz_datagen::weights::trained_fc_weights(48, 40, 0x5EED);
-    for (format, name) in [
-        (SzFormat::V1, "SZ v1"),
-        (SzFormat::V2, "SZ v2"),
-        (SzFormat::V3, "SZ v3"),
-        (SzFormat::V4, "SZ v4"),
-    ] {
-        let cfg = SzConfig {
-            format,
-            ..pinned_sz()
-        };
-        let stream = cfg.compress(&data, ErrorBound::Abs(1e-3)).unwrap();
-        campaign(name, &stream, false, |mutant| {
+    let v4 = pinned_sz().compress(&data, ErrorBound::Abs(1e-3)).unwrap();
+    for (version, stream) in [(1u8, SZ_V1), (2, SZ_V2), (3, SZ_V3), (4, &v4)] {
+        assert_eq!(stream[4], version);
+        let intact = dsz_sz::decompress(stream).unwrap();
+        assert!(dsz_sz::max_abs_error(&data, &intact) <= 1e-3 * (1.0 + 1e-9));
+        campaign(&format!("SZ v{version}"), stream, false, |mutant| {
             dsz_sz::decompress(mutant).is_ok()
         });
     }
@@ -142,15 +158,10 @@ fn sz_stream_generations_never_panic() {
 /// panic; decoding is allowed to succeed.
 #[test]
 fn dszm_v1_v2_containers_never_panic() {
-    let (assessments, plan) = fixture();
-    let (v1, _) = encode_with_plan_v1(&assessments, &plan, &pinned_sz()).unwrap();
-    let (v2, _) = encode_with_plan_v2(&assessments, &plan, &pinned_sz()).unwrap();
-    for (model, name) in [(v1, "DSZM v1"), (v2, "DSZM v2")] {
-        campaign(name, &model.bytes, false, |mutant| {
-            decode_model(&CompressedModel {
-                bytes: mutant.to_vec(),
-            })
-            .is_ok()
+    for (bytes, name) in [(DSZM_V1, "DSZM v1"), (DSZM_V2, "DSZM v2")] {
+        assert_eq!(decode_model(&model(bytes)).unwrap().0.len(), 2);
+        campaign(name, bytes, false, |mutant| {
+            decode_model(&model(mutant)).is_ok()
         });
     }
 }
@@ -161,7 +172,7 @@ fn dszm_v1_v2_containers_never_panic() {
 #[test]
 fn dszm_v3_and_v4_reject_every_corruption() {
     let (assessments, plan) = fixture();
-    let (v3, _) = dsz_core::encode_with_plan_v3(&assessments, &plan, &pinned_sz()).unwrap();
+    let v3 = model(DSZM_V3);
     let (v4, _) = encode_with_plan_config(&assessments, &plan, &pinned_sz()).unwrap();
     assert_eq!(v4.bytes[4], 4, "default container must be v4");
     for (model, name) in [(v3, "DSZM v3"), (v4, "DSZM v4")] {
@@ -298,7 +309,7 @@ fn break_sz_streams(bytes: &mut [u8], from: usize) -> usize {
 #[test]
 fn decode_policy_routes_streaming_errors() {
     // Build a network whose fc layers match the fixture exactly.
-    let (assessments, plan) = fixture();
+    let (assessments, _) = fixture();
     let mut net = dsz_nn::Network {
         input_shape: dsz_tensor::VolShape { c: 32, h: 1, w: 1 },
         layers: Vec::new(),
@@ -316,7 +327,7 @@ fn decode_policy_routes_streaming_errors() {
     }
     // A v2 container (no container checksum, so parsing succeeds) with
     // every layer's SZ stream version byte stomped.
-    let (mut v2, _) = encode_with_plan_v2(&assessments, &plan, &pinned_sz()).unwrap();
+    let mut v2 = model(DSZM_V2);
     assert_eq!(break_sz_streams(&mut v2.bytes, 0), 2);
 
     let probe = dsz_nn::Batch::from_features(4, 32, vec![0.1; 4 * 32]);
@@ -357,8 +368,7 @@ fn decode_policy_routes_streaming_errors() {
 /// The structured error names the failing layer and stage.
 #[test]
 fn corrupt_errors_name_layer_and_stage() {
-    let (assessments, plan) = fixture();
-    let (mut v2, _) = encode_with_plan_v2(&assessments, &plan, &pinned_sz()).unwrap();
+    let mut v2 = model(DSZM_V2);
     // Damage only the second layer's stream.
     let second = v2
         .bytes
@@ -416,10 +426,11 @@ fn repeated_layer_index_is_rejected_by_every_reader() {
         }));
     }
 
+    // v1–v3: the retired writers' containers for this same plan.
     let (v4, _) = encode_with_plan_config(&assessments, &plan, &pinned_sz()).unwrap();
-    let (v3, _) = encode_with_plan_v3(&assessments, &plan, &pinned_sz()).unwrap();
-    let (v2, _) = encode_with_plan_v2(&assessments, &plan, &pinned_sz()).unwrap();
-    let (v1, _) = encode_with_plan_v1(&assessments, &plan, &pinned_sz()).unwrap();
+    let v3 = model(include_bytes!("fixtures/dszm_v3_repeated_layer.bin"));
+    let v2 = model(include_bytes!("fixtures/dszm_v2_repeated_layer.bin"));
+    let v1 = model(include_bytes!("fixtures/dszm_v1_repeated_layer.bin"));
     for (generation, model) in [("v4", &v4), ("v3", &v3), ("v2", &v2), ("v1", &v1)] {
         let bad = |what: &str, r: Result<(), DeepSzError>| match r {
             Err(DeepSzError::BadContainer(msg)) => {

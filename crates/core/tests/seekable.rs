@@ -18,11 +18,15 @@
 //!   useful (one damaged layer does not take down the container).
 //! * **Open-time structure:** truncations, bad trailers, and misaligned
 //!   or overlapping footer spans are rejected at `open`.
+//!
+//! The v3 and v2 containers are `tests/fixtures/dszm_v{3,2}.bin`: the
+//! exact bytes the retired writers produced for [`fixture`] under
+//! [`pinned_sz`].
 
 use dsz_core::optimizer::{ChosenLayer, Plan};
 use dsz_core::{
-    encode_with_plan_config, encode_with_plan_v3, verify_container, CompressedModel, DataCodecKind,
-    DecodedLayer, DeepSzError, LayerAssessment, SeekableContainer,
+    encode_with_plan_config, verify_container, CompressedModel, DataCodecKind, DecodedLayer,
+    DeepSzError, LayerAssessment, SeekableContainer,
 };
 use dsz_datagen::corrupt::Corruptor;
 use dsz_nn::FcLayerRef;
@@ -82,6 +86,9 @@ fn pinned_sz() -> SzConfig {
         ..SzConfig::default()
     }
 }
+
+const DSZM_V3: &[u8] = include_bytes!("fixtures/dszm_v3.bin");
+const DSZM_V2: &[u8] = include_bytes!("fixtures/dszm_v2.bin");
 
 fn encode_v4() -> CompressedModel {
     let (assessments, plan) = fixture();
@@ -229,17 +236,14 @@ fn single_record_corruption_is_contained_to_that_layer() {
 /// guarded by parse-time cross-checks on that generation.
 #[test]
 fn v3_lazy_verify_catches_blob_corruption() {
-    let (assessments, plan) = fixture();
-    let (v3, _) = encode_with_plan_v3(&assessments, &plan, &pinned_sz()).unwrap();
-    let seek = SeekableContainer::open_slice(&v3.bytes).unwrap();
+    let seek = SeekableContainer::open_slice(DSZM_V3).unwrap();
     let authentic: Vec<DecodedLayer> = (0..seek.layer_count())
         .map(|i| seek.layer(i).unwrap())
         .collect();
 
     // Stomp bytes inside each SZ stream (the data blob) and check the
     // owning layer rejects while the other still matches.
-    let stream_starts: Vec<usize> = v3
-        .bytes
+    let stream_starts: Vec<usize> = DSZM_V3
         .windows(4)
         .enumerate()
         .filter(|(_, w)| w == b"SZ1D")
@@ -247,7 +251,7 @@ fn v3_lazy_verify_catches_blob_corruption() {
         .collect();
     assert_eq!(stream_starts.len(), 2);
     for (target, &start) in stream_starts.iter().enumerate() {
-        let mut mutant = v3.bytes.clone();
+        let mut mutant = DSZM_V3.to_vec();
         mutant[start + 8] ^= 0x10;
         let seek = SeekableContainer::open_slice(&mutant).unwrap();
         assert!(
@@ -306,12 +310,10 @@ fn open_rejects_structural_damage() {
 /// refused, and the file-backed source agrees with the slice source.
 #[test]
 fn seekable_roundtrip_matches_sequential_decode() {
-    let (assessments, plan) = fixture();
     let v4 = encode_v4();
-    let (v3, _) = encode_with_plan_v3(&assessments, &plan, &pinned_sz()).unwrap();
     let (seq, _) = dsz_core::decode_model(&v4).unwrap();
 
-    for (bytes, version) in [(&v4.bytes, 4u8), (&v3.bytes, 3)] {
+    for (bytes, version) in [(v4.bytes.as_slice(), 4u8), (DSZM_V3, 3)] {
         let seek = SeekableContainer::open_slice(bytes).unwrap();
         assert_eq!(seek.version(), version);
         assert_eq!(seek.layer_count(), seq.len());
@@ -323,8 +325,7 @@ fn seekable_roundtrip_matches_sequential_decode() {
         }
     }
 
-    let (v2, _) = dsz_core::encode_with_plan_v2(&assessments, &plan, &pinned_sz()).unwrap();
-    let err = SeekableContainer::open_slice(&v2.bytes).unwrap_err();
+    let err = SeekableContainer::open_slice(DSZM_V2).unwrap_err();
     assert!(matches!(err, DeepSzError::BadContainer(_)));
 
     let path = std::env::temp_dir().join(format!("dszm-seekable-{}.dszm", std::process::id()));

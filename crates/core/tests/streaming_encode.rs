@@ -16,7 +16,7 @@ use dsz_core::{
 };
 use dsz_nn::FcLayerRef;
 use dsz_sparse::PairArray;
-use dsz_sz::{chunk_slot_bytes, SzConfig, SzFormat};
+use dsz_sz::{chunk_slot_bytes, SzConfig};
 use dsz_tensor::parallel::with_workers;
 
 /// Same fixture the golden-bytes suite pins: two small pruned fc layers.
@@ -74,11 +74,10 @@ fn build_fixture(shapes: &[(usize, usize, f64)], ebs: &[f64]) -> (Vec<LayerAsses
     )
 }
 
-/// The pinned SZ configuration the golden container was captured with.
+/// A pinned chunk geometry, alongside the default adaptive one.
 fn pinned_sz() -> SzConfig {
     SzConfig {
         chunk_elems: 4096,
-        format: SzFormat::V3,
         ..SzConfig::default()
     }
 }

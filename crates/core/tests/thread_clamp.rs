@@ -1,21 +1,22 @@
-//! Regression suite for the thread-scaling fix: worker counts are
-//! clamped to the host's real parallelism, and — critically — the
-//! *layout* worker count that picks the adaptive SZ chunk geometry is
-//! the clamped one, so `DSZ_THREADS=4` on a 1-core host emits containers
-//! byte-identical to `DSZ_THREADS=1` instead of baking quarter-sized
-//! chunks (extra framing bytes) into the stream. `scripts/tier1.sh` runs
-//! this suite under both `DSZ_THREADS=1` and `DSZ_THREADS=4`.
+//! Regression suite for worker budgets and host-independent container
+//! bytes: the process worker budget is clamped to the host's real
+//! parallelism, and the adaptive SZ chunk geometry is a pure function of
+//! the layer length, so the same model encodes to the same bytes on every
+//! host, under every `DSZ_THREADS`, and under every execution pin.
+//! `scripts/tier1.sh` runs this suite under both `DSZ_THREADS=1` and
+//! `DSZ_THREADS=4`; the golden below must pass under both.
 
 use dsz_core::optimizer::{ChosenLayer, Plan};
 use dsz_core::{encode_with_plan_config, DataCodecKind, LayerAssessment};
 use dsz_nn::FcLayerRef;
 use dsz_sparse::PairArray;
 use dsz_sz::{adaptive_chunk_elems, SzConfig};
-use dsz_tensor::parallel::{clamp_to_host, host_parallelism, layout_workers, with_workers};
+use dsz_tensor::parallel::{clamp_to_host, host_parallelism, with_workers, worker_count};
 
-/// One fc layer big enough that the adaptive chunk size actually depends
-/// on the worker count (`n / (4·workers)` above the 16Ki floor), so the
-/// byte-equality assertions below would catch an unclamped layout.
+/// One fc layer big enough that the adaptive chunk size sits in its
+/// size-proportional regime (`n / 8` between the 16Ki floor and the
+/// 256Ki ceiling), where a worker-dependent geometry would change the
+/// chunk count.
 fn fixture() -> (Vec<LayerAssessment>, Plan, usize) {
     let (rows, cols) = (512usize, 800usize);
     let mut dense = dsz_datagen::weights::trained_fc_weights(rows, cols, 0xC1A);
@@ -60,63 +61,48 @@ fn encode_bytes(sz: &SzConfig) -> Vec<u8> {
         .bytes
 }
 
-/// The layout worker count is exactly the clamped request: `DSZ_THREADS`
-/// if set (clamped to the host), else the host's own parallelism.
+/// The process worker budget (no `with_workers` pin) is exactly the
+/// clamped request: `DSZ_THREADS` if set (clamped to the host), else the
+/// host's own parallelism.
 #[test]
-fn layout_workers_are_the_clamped_request() {
+fn process_budget_is_the_clamped_request() {
     let requested = std::env::var("DSZ_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok());
     assert_eq!(
-        layout_workers(),
+        worker_count(),
         clamp_to_host(requested.unwrap_or_else(host_parallelism))
     );
-    assert!(layout_workers() <= host_parallelism());
+    assert!(worker_count() <= host_parallelism());
 }
 
-/// Container bytes from the default adaptive config equal the bytes from
-/// an explicitly pinned chunk size computed with the *clamped* layout
-/// worker count — and on a 1-core host (where tier-1 runs this under
-/// both `DSZ_THREADS=1` and `DSZ_THREADS=4`) they equal the 1-worker
-/// geometry, which is the regression this suite pins: before the clamp,
-/// `DSZ_THREADS=4` shrank the adaptive chunks 4× and changed the bytes.
+/// Cross-host golden: the default-config container of the fixture has
+/// one fixed length and FNV-1a digest, whatever the host's core count
+/// and `DSZ_THREADS`. The layer splits into 8 chunks of
+/// `adaptive_chunk_elems(n)` elements; a geometry that followed the
+/// worker budget (4 chunks at one worker) would change both pins.
 #[test]
-fn default_container_bytes_use_clamped_layout_geometry() {
+fn default_container_bytes_match_cross_host_golden() {
     let (_, _, n) = fixture();
-    assert_ne!(
-        adaptive_chunk_elems(n, 1),
-        adaptive_chunk_elems(n, 4),
-        "fixture too small: adaptive geometry must be worker-sensitive \
-         for this test to mean anything"
+    let chunk = adaptive_chunk_elems(n);
+    assert!(
+        chunk > 1 << 14 && chunk < 1 << 18,
+        "fixture must sit in the size-proportional regime, got {chunk}-element chunks"
     );
+    assert_eq!(n.div_ceil(chunk), 8);
 
-    let adaptive = encode_bytes(&SzConfig::default());
-    let pinned = encode_bytes(&SzConfig {
-        chunk_elems: adaptive_chunk_elems(n, layout_workers()),
-        ..SzConfig::default()
-    });
+    let bytes = encode_bytes(&SzConfig::default());
+    assert_eq!(bytes.len(), 168_151, "container length drifted");
     assert_eq!(
-        adaptive, pinned,
-        "adaptive layout no longer matches the clamped worker count"
+        dsz_lossless::fnv1a(&bytes),
+        0xfa39_9125_52de_a8a5,
+        "container bytes drifted"
     );
-
-    if host_parallelism() == 1 {
-        let one_worker = encode_bytes(&SzConfig {
-            chunk_elems: adaptive_chunk_elems(n, 1),
-            ..SzConfig::default()
-        });
-        assert_eq!(
-            adaptive, one_worker,
-            "on a 1-core host every DSZ_THREADS value must emit the \
-             1-worker container bytes"
-        );
-    }
 }
 
 /// Execution-worker overrides never leak into the bytes: sweeping
 /// `with_workers` around a default (adaptive-geometry) encode produces
-/// identical containers, because layout reads the process budget, not
-/// the execution override.
+/// identical containers, because the layout never reads a worker count.
 #[test]
 fn execution_worker_sweep_never_changes_container_bytes() {
     let reference = with_workers(1, || encode_bytes(&SzConfig::default()));

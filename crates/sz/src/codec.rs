@@ -3,34 +3,31 @@
 //!
 //! # Stream versions and the chunked layout
 //!
-//! Three wire formats share the `SZ1D` magic and differ in the version
-//! byte (see `docs/FORMAT.md` for the byte-level reference):
+//! The encoder writes exactly one layout, **v4**; the decoder reads every
+//! version that ever shipped. All four share the `SZ1D` magic and differ in
+//! the version byte (see `docs/FORMAT.md` for the byte-level reference):
 //!
-//! * **v1** — one monolithic payload for the whole array (the original
-//!   format). Decoding is inherently serial because the Lorenzo predictor
-//!   chains every value to the previous reconstruction.
-//! * **v2** — the array is split into fixed-size **chunks** (a multiple of
-//!   the prediction block size; [`SzConfig::chunk_elems`] elements each,
-//!   last chunk ragged). Every chunk is a fully independent compression
-//!   unit: its predictor state starts fresh, and it carries its own
-//!   selector RLE, regression parameters, Huffman table, verbatim values,
-//!   and lossless-backend decision. Chunks are laid out as
-//!   `[backend_id u8][len varint][bytes]` records after the shared header:
+//! * **v1** (read only) — one monolithic payload for the whole array.
+//!   Decoding is inherently serial because the Lorenzo predictor chains
+//!   every value to the previous reconstruction.
+//! * **v2** (read only) — the array is split into fixed-size **chunks** (a
+//!   multiple of the prediction block size, last chunk ragged). Every
+//!   chunk is a fully independent compression unit: its predictor state
+//!   starts fresh, and it carries its own selector RLE, regression
+//!   parameters, Huffman table, verbatim values, and lossless-backend
+//!   decision, as a `[backend_id u8][len varint][bytes]` record after the
+//!   shared header:
 //!
 //!   ```text
 //!   "SZ1D" | 0x02 | n | abs_eb f64 | predictor | block | radius
 //!          | chunk_elems | n_chunks | chunk record * n_chunks
 //!   ```
 //!
-//! * **v3** — chunked like v2, but the quantization codes of
+//! * **v3** (read only) — chunked like v2, but the quantization codes of
 //!   *all* chunks are entropy-coded against **one shared canonical
-//!   Huffman table** carried in the layer header. Encoding is two-pass
-//!   (COMET-style): pass one quantizes chunks in parallel and pools a
-//!   global code histogram; pass two encodes each chunk's payload in
-//!   parallel against the shared table. Decode stays chunk-parallel —
-//!   every chunk only needs the (read-only) shared decode LUT. Per-chunk
-//!   payloads drop the code book *and* the symbol count (implied by the
-//!   chunk's element count):
+//!   Huffman table** carried raw in the layer header. Per-chunk payloads
+//!   drop the code book *and* the symbol count (implied by the chunk's
+//!   element count):
 //!
 //!   ```text
 //!   "SZ1D" | 0x03 | n | abs_eb f64 | predictor | block | radius
@@ -39,17 +36,14 @@
 //!          | chunk record * n_chunks
 //!   ```
 //!
-//! * **v4** (default) — identical to v3 except the shared Huffman table
+//! * **v4** (written) — identical to v3 except the shared Huffman table
 //!   itself goes through the lossless backend competition
 //!   ([`dsz_lossless::best_fit`]; disabled together with
 //!   [`SzConfig::backend`], so `backend: None` streams stay backend-free
 //!   end to end): a flag byte precedes the table, `0xff` meaning the
-//!   table is stored raw (the v3 serialization — small tables stay raw
-//!   because compression would not pay for its framing) and any
-//!   [`LosslessKind`] id meaning `[len varint][compressed table bytes]`
-//!   follows. Wide-alphabet tables (tight bounds over noisy layers)
-//!   shave a few hundred bytes per layer; everything after the table is
-//!   byte-identical to v3.
+//!   table is stored raw (small tables stay raw because compression would
+//!   not pay for its framing) and any [`LosslessKind`] id meaning
+//!   `[len varint][compressed table bytes]` follows.
 //!
 //!   ```text
 //!   "SZ1D" | 0x04 | n | abs_eb f64 | predictor | block | radius
@@ -59,50 +53,46 @@
 //!          | chunk record * n_chunks
 //!   ```
 //!
-//!   With `chunk_elems = 0` (the default) the chunk size is chosen
-//!   **adaptively** per layer: `clamp(n / (4·workers), 16Ki, 256Ki)`
-//!   elements, where `workers` is the process-level
-//!   [`dsz_tensor::parallel::layout_workers`] budget. Small layers become
-//!   a single chunk (no table or framing duplication at all) while large
-//!   layers expose at least ~4 work items per worker. The resolved size is
-//!   recorded in the header, so decode never depends on the encoder's
-//!   host; encode bytes are independent of [`with_workers`] execution
-//!   pinning but do track `DSZ_THREADS`/core count through the adaptive
-//!   choice — pin `chunk_elems` explicitly when cross-host byte equality
-//!   matters.
+//!   Encoding is two-pass (COMET-style, in `stream.rs`): pass one
+//!   quantizes chunks in parallel and pools a global code histogram; pass
+//!   two encodes each chunk's payload in parallel against the shared
+//!   table. Decode stays chunk-parallel — every chunk only needs the
+//!   (read-only) shared decode LUT.
+//!
+//!   With `chunk_elems = 0` (the default) the chunk size is a pure
+//!   function of the layer length, [`adaptive_chunk_elems`]:
+//!   `clamp(n / 8, 16Ki, 256Ki)` elements. Small layers become a single
+//!   chunk (no table or framing duplication at all) while large layers
+//!   expose at least ~8 work items. The resolved size is recorded in the
+//!   header, so decode never depends on the encoder's host, and encode
+//!   bytes are the same on every host and under every worker count.
 //!
 //! Independence is what buys parallelism: both [`SzConfig::compress`] and
 //! [`decompress`] fan chunks out over [`dsz_tensor::parallel`] workers
-//! (encode via `parallel_map`, decode via `parallel_chunks` straight into
-//! disjoint slices of the output buffer — no per-chunk allocation or
-//! concatenation), which since PR 3 dispatch onto the persistent worker
-//! pool (`dsz_tensor::pool`, see `docs/PARALLEL.md`) instead of spawning
-//! threads per call. Chunk payloads are byte-identical regardless of
-//! worker count or pool occupancy, so containers stay deterministic. Each worker thread reuses a
-//! thread-local scratch ([`huffman::decode_stream_into`],
+//! (encode through a bounded ordered pipeline, decode via
+//! `parallel_chunks` straight into disjoint slices of the output buffer —
+//! no per-chunk allocation or concatenation), which dispatch onto the
+//! persistent worker pool (`dsz_tensor::pool`, see `docs/PARALLEL.md`).
+//! Chunk payloads are byte-identical regardless of worker count or pool
+//! occupancy, so containers stay deterministic. Each worker thread reuses
+//! a thread-local scratch ([`huffman::decode_stream_into`],
 //! [`rle::decompress_into`], `Codec::decompress_into`) to keep the decode
 //! hot loop allocation-light.
-//!
-//! v1, v2, and v3 streams still decode (the version byte dispatches);
-//! setting [`SzConfig::format`] to [`SzFormat::V1`] / [`SzFormat::V2`] /
-//! [`SzFormat::V3`] makes the encoder emit those layouts for
-//! compatibility tests and single-stream comparisons.
-//!
-//! [`with_workers`]: dsz_tensor::parallel::with_workers
 
 use crate::{ErrorBound, SzError};
 use dsz_lossless::bits::{read_varint, write_varint};
 use dsz_lossless::huffman;
 use dsz_lossless::huffman::{HuffmanCode, HuffmanDecoder, HuffmanEncoder};
 use dsz_lossless::{best_fit, rle, CodecError, LosslessKind};
-use dsz_tensor::parallel::{layout_workers, parallel_chunks, parallel_map};
+use dsz_tensor::budget::ByteBudget;
+use dsz_tensor::parallel::parallel_chunks;
 use std::cell::RefCell;
 
-pub(crate) const MAGIC: &[u8; 4] = b"SZ1D";
-pub(crate) const VERSION_V1: u8 = 1;
-pub(crate) const VERSION_V2: u8 = 2;
-pub(crate) const VERSION_V3: u8 = 3;
-pub(crate) const VERSION_V4: u8 = 4;
+const MAGIC: &[u8; 4] = b"SZ1D";
+const VERSION_V1: u8 = 1;
+const VERSION_V2: u8 = 2;
+const VERSION_V3: u8 = 3;
+const VERSION_V4: u8 = 4;
 
 /// Decode-side cap on elements per compressed byte, checked before the
 /// output buffer is allocated so a crafted header cannot demand absurd
@@ -172,23 +162,8 @@ impl EntropyStage {
     }
 }
 
-/// Which stream layout the encoder emits. All three keep decoding forever
-/// via the version-byte dispatch in [`decompress`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SzFormat {
-    /// Legacy monolithic v1 stream (serial decode).
-    V1,
-    /// Chunked v2: every chunk carries its own Huffman table.
-    V2,
-    /// Chunked v3 with one shared Huffman table per layer (stored raw).
-    V3,
-    /// v3 layout with the shared table backend-compressed via
-    /// [`dsz_lossless::best_fit`] when that wins (default).
-    V4,
-}
-
 /// Tunable compressor configuration. The defaults mirror SZ 2.x plus the
-/// chunk-parallel v2 layout.
+/// chunk-parallel v4 layout.
 #[derive(Debug, Clone, Copy)]
 pub struct SzConfig {
     /// Predictor selection policy.
@@ -202,15 +177,11 @@ pub struct SzConfig {
     pub entropy: EntropyStage,
     /// Byte codec applied per compression unit (`None` disables).
     pub backend: Option<LosslessKind>,
-    /// Elements per independently compressed chunk in the v2/v3 formats
-    /// (rounded up to a multiple of `block_size`). `0` (the default) picks
-    /// the size adaptively from the layer length and the process worker
-    /// budget — `clamp(n / (4·workers), 16Ki, 256Ki)` — so small layers
+    /// Elements per independently compressed chunk (rounded up to a
+    /// multiple of `block_size`). `0` (the default) picks the size from
+    /// the layer length alone — [`adaptive_chunk_elems`] — so small layers
     /// collapse to a single chunk and large layers expose parallelism.
-    /// Ignored by [`SzFormat::V1`].
     pub chunk_elems: usize,
-    /// Stream layout to emit; see [`SzFormat`].
-    pub format: SzFormat,
 }
 
 impl Default for SzConfig {
@@ -222,7 +193,6 @@ impl Default for SzConfig {
             entropy: EntropyStage::Huffman,
             backend: Some(LosslessKind::Zstd),
             chunk_elems: 0,
-            format: SzFormat::V4,
         }
     }
 }
@@ -387,42 +357,28 @@ pub(crate) struct QuantParams {
     pub(crate) block: usize,
 }
 
-/// Per-chunk encoder output counts (summed into [`CompressStats`]).
-#[derive(Default, Clone, Copy)]
-pub(crate) struct ChunkCounts {
-    pub(crate) unpredictable: usize,
-    pub(crate) regression_blocks: usize,
-    pub(crate) blocks: usize,
-}
-
 impl SzConfig {
     /// Compresses `data`; see [`crate::compress`].
     pub fn compress(&self, data: &[f32], bound: ErrorBound) -> Result<Vec<u8>, SzError> {
         self.compress_with_stats(data, bound).map(|(b, _)| b)
     }
 
-    /// Compresses `data` and also returns encoder statistics.
-    ///
-    /// [`SzConfig::format`] picks the layout: v3 (default) and v2 compress
-    /// chunks in parallel with container bytes independent of the worker
-    /// count; v1 emits the legacy monolithic stream.
+    /// Compresses `data` and also returns encoder statistics: the
+    /// streaming encoder ([`SzConfig::compress_stream`]) writing into a
+    /// `Vec` under an unbounded budget. Chunks compress in parallel with
+    /// stream bytes independent of the worker count.
     pub fn compress_with_stats(
         &self,
         data: &[f32],
         bound: ErrorBound,
     ) -> Result<(Vec<u8>, CompressStats), SzError> {
-        let q = self.resolved_params(data, bound)?;
-        match self.format {
-            SzFormat::V1 => self.compress_v1(data, q),
-            SzFormat::V2 => self.compress_v2(data, q),
-            SzFormat::V3 => self.compress_shared_table(data, q, VERSION_V3),
-            SzFormat::V4 => self.compress_shared_table(data, q, VERSION_V4),
-        }
+        let mut out = Vec::new();
+        let stats = self.compress_stream(data, bound, &ByteBudget::unbounded(), &mut out)?;
+        Ok((out, stats))
     }
 
     /// Validates `bound` against `data` and resolves the per-stream
-    /// quantization parameters — the shared front door of the batch and
-    /// streaming encoders, so their validation cannot diverge.
+    /// quantization parameters.
     pub(crate) fn resolved_params(
         &self,
         data: &[f32],
@@ -442,26 +398,20 @@ impl SzConfig {
         })
     }
 
-    /// Resolves the effective chunk length for the chunked formats:
-    /// explicit `chunk_elems`, or the adaptive size for `0`.
+    /// Resolves the effective chunk length: explicit `chunk_elems`, or the
+    /// adaptive size for `0`.
     pub(crate) fn resolve_chunk_len(&self, n: usize, block: usize) -> usize {
         if self.chunk_elems == 0 {
-            chunk_len(adaptive_chunk_elems(n, layout_workers()), block)
+            chunk_len(adaptive_chunk_elems(n), block)
         } else {
             chunk_len(self.chunk_elems, block)
         }
     }
 
-    /// Serializes the header fields shared by both stream versions.
-    pub(crate) fn write_common_header(
-        &self,
-        out: &mut Vec<u8>,
-        version: u8,
-        n: usize,
-        q: QuantParams,
-    ) {
+    /// Serializes the v4 header fields that precede the chunk geometry.
+    pub(crate) fn write_common_header(&self, out: &mut Vec<u8>, n: usize, q: QuantParams) {
         out.extend_from_slice(MAGIC);
-        out.push(version);
+        out.push(VERSION_V4);
         write_varint(out, n as u64);
         out.extend_from_slice(&q.abs_eb.to_le_bytes());
         out.push(self.predictor.id());
@@ -469,198 +419,14 @@ impl SzConfig {
         write_varint(out, u64::from(q.radius));
     }
 
-    /// Legacy monolithic stream (one compression unit, serial decode).
-    fn compress_v1(
-        &self,
-        data: &[f32],
-        q: QuantParams,
-    ) -> Result<(Vec<u8>, CompressStats), SzError> {
-        let (payload, counts) = self.encode_unit(data, q);
-        let mut out = Vec::with_capacity(payload.len() / 2 + 64);
-        self.write_common_header(&mut out, VERSION_V1, data.len(), q);
-        // Legacy layout: backend byte, then the payload running to the end
-        // of the stream (no length field — this matches the seed format).
-        match self.backend_compress(&payload) {
-            Some((id, comp)) => {
-                out.push(id);
-                out.extend_from_slice(&comp);
-            }
-            None => {
-                out.push(0xff);
-                out.extend_from_slice(&payload);
-            }
-        }
-        let stats = CompressStats {
-            n: data.len(),
-            unpredictable: counts.unpredictable,
-            regression_blocks: counts.regression_blocks,
-            blocks: counts.blocks,
-            compressed_bytes: out.len(),
-        };
-        Ok((out, stats))
-    }
-
-    /// Chunked v2 stream; chunks compress in parallel.
-    fn compress_v2(
-        &self,
-        data: &[f32],
-        q: QuantParams,
-    ) -> Result<(Vec<u8>, CompressStats), SzError> {
-        let n = data.len();
-        let chunk = self.resolve_chunk_len(n, q.block);
-        let n_chunks = n.div_ceil(chunk);
-        let ranges: Vec<(usize, usize)> = (0..n_chunks)
-            .map(|c| (c * chunk, ((c + 1) * chunk).min(n)))
-            .collect();
-
-        // Each chunk is a fully independent unit: encode payload, then
-        // apply the backend decision locally. Pure per chunk ⇒ the joined
-        // container is deterministic for any worker count.
-        let encoded: Vec<(Vec<u8>, ChunkCounts)> = parallel_map(&ranges, |&(s, e)| {
-            let (payload, counts) = self.encode_unit(&data[s..e], q);
-            let mut record = Vec::with_capacity(payload.len() / 2 + 8);
-            self.append_backed_payload(&mut record, &payload);
-            (record, counts)
-        });
-
-        let mut out = Vec::with_capacity(encoded.iter().map(|(r, _)| r.len()).sum::<usize>() + 64);
-        self.write_common_header(&mut out, VERSION_V2, n, q);
-        write_varint(&mut out, chunk as u64);
-        write_varint(&mut out, n_chunks as u64);
-        let mut counts = ChunkCounts::default();
-        for (record, c) in &encoded {
-            out.extend_from_slice(record);
-            counts.unpredictable += c.unpredictable;
-            counts.regression_blocks += c.regression_blocks;
-            counts.blocks += c.blocks;
-        }
-        let stats = CompressStats {
-            n,
-            unpredictable: counts.unpredictable,
-            regression_blocks: counts.regression_blocks,
-            blocks: counts.blocks,
-            compressed_bytes: out.len(),
-        };
-        Ok((out, stats))
-    }
-
-    /// Chunked v3/v4 stream: two-pass encode with one shared Huffman
-    /// table (raw in the v3 header, backend-competed in v4).
-    ///
-    /// Pass one quantizes every chunk in parallel (fresh predictor state
-    /// per chunk, exactly as v2) and pools a global histogram of the
-    /// quantization codes; a single canonical table is built from it and
-    /// written once in the layer header. Pass two serializes each chunk's
-    /// payload in parallel against the shared encoder. Both passes are
-    /// pure per chunk, so container bytes are deterministic for any
-    /// execution worker count.
-    fn compress_shared_table(
-        &self,
-        data: &[f32],
-        q: QuantParams,
-        version: u8,
-    ) -> Result<(Vec<u8>, CompressStats), SzError> {
-        let n = data.len();
-        let chunk = self.resolve_chunk_len(n, q.block);
-        let n_chunks = n.div_ceil(chunk);
-        let ranges: Vec<(usize, usize)> = (0..n_chunks)
-            .map(|c| (c * chunk, ((c + 1) * chunk).min(n)))
-            .collect();
-
-        // Pass 1: quantize chunks in parallel, each with its own code
-        // histogram, so the only serial work between the passes is the
-        // O(chunks × alphabet) merge — not an O(n) rescan of every code.
-        let want_hist = self.entropy == EntropyStage::Huffman;
-        let (units, hists): (Vec<QuantizedUnit>, Vec<Vec<u64>>) =
-            parallel_map(&ranges, |&(s, e)| {
-                let u = self.quantize_unit(&data[s..e], q);
-                let mut hist = Vec::new();
-                if want_hist {
-                    huffman::accumulate_counts(&mut hist, &u.codes);
-                }
-                (u, hist)
-            })
-            .into_iter()
-            .unzip();
-
-        // Merge → one shared code book for the whole layer. Per-symbol
-        // integer sums are order-independent, so the resulting table (and
-        // thus the container bytes) never depends on scheduling.
-        let shared = match self.entropy {
-            EntropyStage::Huffman => {
-                let mut counts: Vec<u64> = Vec::new();
-                for hist in &hists {
-                    if counts.len() < hist.len() {
-                        counts.resize(hist.len(), 0);
-                    }
-                    for (total, &c) in counts.iter_mut().zip(hist) {
-                        *total += c;
-                    }
-                }
-                let code = HuffmanCode::from_counts(&counts);
-                let enc = code.encoder();
-                Some((code, enc))
-            }
-            EntropyStage::Raw => None,
-        };
-        // The per-chunk histograms are dead once merged; release them
-        // before pass 2 so concurrently encoded layers don't stack
-        // n_chunks × alphabet-sized dead buffers.
-        drop(hists);
-
-        // Pass 2: serialize chunk payloads against the shared table and
-        // apply the per-chunk backend decision.
-        let enc = shared.as_ref().map(|(_, e)| e);
-        let records: Vec<Vec<u8>> = parallel_map(&units, |u| {
-            let payload = self.serialize_unit_shared(u, enc);
-            let mut record = Vec::with_capacity(payload.len() / 2 + 8);
-            self.append_backed_payload(&mut record, &payload);
-            record
-        });
-
-        let mut out = Vec::with_capacity(records.iter().map(Vec::len).sum::<usize>() + 64);
-        self.write_common_header(&mut out, version, n, q);
-        write_varint(&mut out, chunk as u64);
-        write_varint(&mut out, n_chunks as u64);
-        out.push(self.entropy.id());
-        if let Some((code, _)) = &shared {
-            if version == VERSION_V3 {
-                code.serialize(&mut out);
-            } else {
-                write_backed_table(&mut out, code, self.backend.is_some());
-            }
-        }
-        let mut counts = ChunkCounts::default();
-        for (record, u) in records.iter().zip(&units) {
-            out.extend_from_slice(record);
-            counts.unpredictable += u.counts.unpredictable;
-            counts.regression_blocks += u.counts.regression_blocks;
-            counts.blocks += u.counts.blocks;
-        }
-        let stats = CompressStats {
-            n,
-            unpredictable: counts.unpredictable,
-            regression_blocks: counts.regression_blocks,
-            blocks: counts.blocks,
-            compressed_bytes: out.len(),
-        };
-        Ok((out, stats))
-    }
-
-    /// Runs the configured backend over `payload` and keeps the result
-    /// only when it is actually smaller; `None` means "store raw" (wire
-    /// id 0xff). Shared by the v1 and v2 serializers so the fallback rule
-    /// cannot diverge between formats.
-    pub(crate) fn backend_compress(&self, payload: &[u8]) -> Option<(u8, Vec<u8>)> {
-        let kind = self.backend?;
-        let comp = kind.codec().compress(payload);
-        (comp.len() < payload.len()).then(|| (kind.id(), comp))
-    }
-
     /// Appends `[backend_id u8][len varint][bytes]`, keeping whichever of
     /// the raw/compressed payload is smaller (0xff = stored raw).
     pub(crate) fn append_backed_payload(&self, out: &mut Vec<u8>, payload: &[u8]) {
-        match self.backend_compress(payload) {
+        let backed = self.backend.and_then(|kind| {
+            let comp = kind.codec().compress(payload);
+            (comp.len() < payload.len()).then(|| (kind.id(), comp))
+        });
+        match backed {
             Some((id, comp)) => {
                 out.push(id);
                 write_varint(out, comp.len() as u64);
@@ -674,20 +440,10 @@ impl SzConfig {
         }
     }
 
-    /// Encodes one compression unit (the whole array for v1, one chunk for
-    /// v2) into a self-contained payload: selector RLE, regression params,
-    /// entropy-coded quantization codes (own code book), and verbatim
-    /// values.
-    pub(crate) fn encode_unit(&self, data: &[f32], q: QuantParams) -> (Vec<u8>, ChunkCounts) {
-        let unit = self.quantize_unit(data, q);
-        let payload = self.serialize_unit_own_table(&unit);
-        (payload, unit.counts)
-    }
-
     /// Quantizes one compression unit: per-block predictor selection plus
     /// error-bounded quantization, producing the code/verbatim/selector
     /// streams but no bytes yet. Predictor state starts fresh (`last = 0`),
-    /// which is what makes units independent — and what lets the v3
+    /// which is what makes units independent — and what lets the v4
     /// encoder pool the codes of all units into one histogram before any
     /// entropy coding happens.
     pub(crate) fn quantize_unit(&self, data: &[f32], q: QuantParams) -> QuantizedUnit {
@@ -763,22 +519,16 @@ impl SzConfig {
             start = end;
         }
 
-        let counts = ChunkCounts {
-            unpredictable: verbatim.len(),
-            regression_blocks: selectors.iter().filter(|&&s| s == 1).count(),
-            blocks: selectors.len(),
-        };
         QuantizedUnit {
             codes,
             verbatim,
             selectors,
             reg_params,
-            counts,
         }
     }
 
     /// Serializes the selector RLE and regression parameters — the payload
-    /// prefix shared by every stream version.
+    /// prefix.
     fn serialize_unit_prefix(&self, unit: &QuantizedUnit, payload: &mut Vec<u8>) {
         let sel_rle = rle::compress(&unit.selectors);
         write_varint(payload, sel_rle.len() as u64);
@@ -790,8 +540,7 @@ impl SzConfig {
         }
     }
 
-    /// Serializes the verbatim-value stream — the payload suffix shared by
-    /// every stream version.
+    /// Serializes the verbatim-value stream — the payload suffix.
     fn serialize_unit_verbatim(&self, unit: &QuantizedUnit, payload: &mut Vec<u8>) {
         write_varint(payload, unit.verbatim.len() as u64);
         for &v in &unit.verbatim {
@@ -799,31 +548,7 @@ impl SzConfig {
         }
     }
 
-    /// v1/v2 unit payload: self-contained, with an entropy-stage byte and
-    /// (for Huffman) the unit's own code book. This layout is pinned by the
-    /// golden-bytes compat tests and must never drift.
-    fn serialize_unit_own_table(&self, unit: &QuantizedUnit) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(unit.codes.len() / 2 + 64);
-        self.serialize_unit_prefix(unit, &mut payload);
-        match self.entropy {
-            EntropyStage::Huffman => {
-                payload.push(EntropyStage::Huffman.id());
-                let blob = huffman::encode_stream(&unit.codes);
-                payload.extend_from_slice(&blob);
-            }
-            EntropyStage::Raw => {
-                payload.push(EntropyStage::Raw.id());
-                write_varint(&mut payload, unit.codes.len() as u64);
-                for &c in &unit.codes {
-                    write_varint(&mut payload, u64::from(c));
-                }
-            }
-        }
-        self.serialize_unit_verbatim(unit, &mut payload);
-        payload
-    }
-
-    /// v3 unit payload: the entropy stage and code book live in the layer
+    /// v4 unit payload: the entropy stage and code book live in the layer
     /// header, so the unit carries only the table-free bit payload (or raw
     /// varints), with the symbol count implied by the unit's element count.
     /// `enc` is `Some` exactly when the stage is Huffman.
@@ -922,7 +647,6 @@ pub(crate) struct QuantizedUnit {
     pub(crate) selectors: Vec<u8>,
     /// Regression (a, b) per selector-1 block, in block order.
     pub(crate) reg_params: Vec<(f32, f32)>,
-    pub(crate) counts: ChunkCounts,
 }
 
 impl QuantizedUnit {
@@ -941,14 +665,15 @@ impl QuantizedUnit {
 const MIN_ADAPTIVE_CHUNK: usize = 1 << 14;
 const MAX_ADAPTIVE_CHUNK: usize = 1 << 18;
 
-/// Adaptive chunk size for a layer of `n` elements under a budget of
-/// `workers`: `clamp(n / (4·workers), 16Ki, 256Ki)`. Aiming for ~4 chunks
-/// per worker keeps the dynamic work queue balanced even when chunk costs
-/// are skewed; the floor stops small layers from paying per-chunk framing
-/// (an 8Ki fc layer becomes a single chunk), and the ceiling keeps
-/// per-chunk scratch cache-friendly on huge layers.
-pub fn adaptive_chunk_elems(n: usize, workers: usize) -> usize {
-    (n / (4 * workers.max(1))).clamp(MIN_ADAPTIVE_CHUNK, MAX_ADAPTIVE_CHUNK)
+/// Adaptive chunk size for a layer of `n` elements:
+/// `clamp(n / 8, 16Ki, 256Ki)`. A pure function of the layer length, so
+/// the same layer encodes to the same bytes on every host. Eight chunks
+/// keep a 2–4-worker decode queue balanced even when chunk costs are
+/// skewed; the floor stops small layers from paying per-chunk framing (an
+/// 8Ki fc layer becomes a single chunk), and the ceiling keeps per-chunk
+/// scratch cache-friendly on huge layers.
+pub fn adaptive_chunk_elems(n: usize) -> usize {
+    (n / 8).clamp(MIN_ADAPTIVE_CHUNK, MAX_ADAPTIVE_CHUNK)
 }
 
 /// Upper clamp on configured chunk sizes: keeps the rounding arithmetic in
@@ -1182,7 +907,7 @@ pub fn decompress_into(bytes: &[u8], out: &mut Vec<f32>) -> Result<(), SzError> 
     out.clear();
     out.resize(h.n, 0.0);
     match h.version {
-        VERSION_V1 => decompress_v1(bytes, &h, out),
+        VERSION_V1 => decode_v1(bytes, &h, out),
         VERSION_V2 => decompress_chunked(bytes, &h, UnitEntropy::Embedded, out),
         _ => match h.entropy {
             EntropyStage::Huffman => {
@@ -1244,7 +969,7 @@ fn decode_backed_unit(
     })
 }
 
-fn decompress_v1(bytes: &[u8], h: &Header, out: &mut [f32]) -> Result<(), SzError> {
+fn decode_v1(bytes: &[u8], h: &Header, out: &mut [f32]) -> Result<(), SzError> {
     let raw_payload = &bytes[h.payload_at..];
     decode_backed_unit(
         h.backend,

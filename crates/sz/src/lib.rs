@@ -16,16 +16,17 @@
 //! 4. **Lossless backend** — a byte codec (default [`LosslessKind::Zstd`])
 //!    over the Huffman payload and the verbatim-value stream.
 //!
-//! Streams default to the **chunked v4 format**: the array is split into
-//! independently compressed chunks (sized adaptively from the layer length
-//! and worker budget) that encode and decode in parallel across
+//! The encoder writes one format, the **chunked v4 stream**: the array is
+//! split into independently compressed chunks (sized from the layer
+//! length alone, `clamp(n / 8, 16Ki, 256Ki)` elements — see
+//! [`adaptive_chunk_elems`]) that encode and decode in parallel across
 //! [`dsz_tensor::parallel`] workers while producing bytes that are
-//! identical for any worker count, with all chunks entropy-coded against
-//! one shared Huffman table built from a layer-global histogram (itself
-//! backend-compressed when that wins). Legacy v1 (monolithic), v2
-//! (per-chunk tables), and v3 (raw shared table) streams still decode,
-//! and [`SzFormat`] selects them for emission; see the codec module docs
-//! and `docs/FORMAT.md` for the wire layouts.
+//! identical for any worker count and any host, with all chunks
+//! entropy-coded against one shared Huffman table built from a
+//! layer-global histogram (itself backend-compressed when that wins).
+//! Legacy v1 (monolithic), v2 (per-chunk tables), and v3 (raw shared
+//! table) streams still decode; see the codec module docs and
+//! `docs/FORMAT.md` for the wire layouts.
 //!
 //! Error bounds can be expressed as absolute, value-range-relative, or PSNR
 //! targets ([`ErrorBound`]), like the SZ library's `ABS` / `REL` / `PSNR`
@@ -39,7 +40,7 @@ mod codec;
 mod stream;
 
 pub use codec::{
-    adaptive_chunk_elems, CompressStats, EntropyStage, PredictorMode, SzConfig, SzFormat, SzInfo,
+    adaptive_chunk_elems, CompressStats, EntropyStage, PredictorMode, SzConfig, SzInfo,
 };
 pub use stream::{chunk_slot_bytes, ChunkSink};
 
@@ -246,9 +247,8 @@ mod tests {
     #[test]
     fn constant_data_is_tiny() {
         let data = vec![0.125f32; 100_000];
-        // Pin a single chunk: the default adaptive geometry tracks
-        // `DSZ_THREADS` (more workers → more chunks → more framing), and
-        // this test asserts an absolute size, not a chunk count.
+        // Pin a single chunk: this test asserts an absolute size, and the
+        // adaptive geometry splits a 100K-element layer into 7 chunks.
         let cfg = SzConfig {
             chunk_elems: data.len(),
             ..SzConfig::default()
@@ -262,8 +262,8 @@ mod tests {
         let back = decompress(&blob).unwrap();
         assert!(max_abs_error(&data, &back) <= 1e-3);
 
-        // The adaptive default still collapses ~400 KB to a few KB at any
-        // worker budget (each chunk pays its own small framing).
+        // The adaptive default still collapses ~400 KB to a few KB (each
+        // chunk pays its own small framing).
         let adaptive = compress(&data, ErrorBound::Abs(1e-3)).unwrap();
         assert!(
             adaptive.len() < 8_000,

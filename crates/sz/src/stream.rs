@@ -1,16 +1,17 @@
-//! Streaming (bounded-memory) SZ encode: the [`ChunkSink`] emitter.
+//! The SZ v4 encoder: bounded-memory streaming through a [`ChunkSink`].
 //!
-//! [`SzConfig::compress_stream`] produces **exactly** the bytes of
-//! [`SzConfig::compress`] for every stream format, but hands finished
-//! spans to a caller-supplied [`ChunkSink`] as they retire instead of
-//! materializing the whole stream, and bounds its buffered bytes against
-//! a caller-shared [`dsz_tensor::budget::ByteBudget`]:
+//! [`SzConfig::compress_stream`] is the only SZ encoder;
+//! [`SzConfig::compress`] is this path writing into a `Vec` under an
+//! unbounded budget. It hands finished spans to a caller-supplied
+//! [`ChunkSink`] as they retire instead of materializing the whole stream,
+//! and bounds its buffered bytes against a caller-shared
+//! [`dsz_tensor::budget::ByteBudget`]:
 //!
 //! * Chunks quantize/serialize on pool workers through a bounded
 //!   [`ordered_pipeline`] window — each in-flight chunk pre-reserves a
 //!   conservative [`chunk_slot_bytes`] slot, so the ledger caps how many
 //!   chunks can be in flight at once.
-//! * The v3/v4 shared-table two-pass design survives without holding all
+//! * The shared-table two-pass design runs without holding all
 //!   chunk payloads live: pass one quantizes chunks and folds their code
 //!   histograms into one running total ([`huffman::merge_counts`]) as
 //!   they retire, **retaining** a chunk's [`QuantizedUnit`] only when its
@@ -18,26 +19,22 @@
 //!   re-quantization in pass two; dropped units are re-quantized there —
 //!   bit-identical either way, because quantization is pure per chunk
 //!   (fresh predictor state). An unbounded budget retains everything, so
-//!   the default path quantizes exactly once, like the batch encoder.
+//!   the default path quantizes exactly once.
 //!
-//! Byte-determinism is structural: chunk geometry depends only on
-//! [`layout_workers`]-derived chunk sizing (never on execution workers),
+//! Byte-determinism is structural: chunk geometry depends only on the
+//! layer length (or the configured `chunk_elems`), never on workers,
 //! records are consumed in index order, and the budget only moves work
 //! between "keep" and "recompute" — never changes what is emitted.
-//!
-//! [`layout_workers`]: dsz_tensor::parallel::layout_workers
 
-use crate::codec::{
-    write_backed_table, ChunkCounts, QuantizedUnit, VERSION_V1, VERSION_V2, VERSION_V3, VERSION_V4,
-};
-use crate::{CompressStats, EntropyStage, ErrorBound, SzConfig, SzError, SzFormat};
+use crate::codec::{write_backed_table, QuantizedUnit};
+use crate::{CompressStats, EntropyStage, ErrorBound, SzConfig, SzError};
 use dsz_lossless::bits::write_varint;
 use dsz_lossless::huffman;
 use dsz_lossless::huffman::HuffmanCode;
 use dsz_tensor::budget::{default_window, ordered_pipeline, ByteBudget};
 
 /// Receives finished byte spans of a compressed stream, in stream order.
-/// The concatenation of every `emit` equals the batch encoder's output.
+/// The concatenation of every `emit` is the stream.
 pub trait ChunkSink {
     /// Consumes the next span of the stream.
     fn emit(&mut self, bytes: &[u8]);
@@ -59,27 +56,13 @@ pub fn chunk_slot_bytes(elems: usize) -> usize {
     elems.saturating_mul(16).saturating_add(64)
 }
 
-/// Counts emitted bytes on the way through to the caller's sink, so the
-/// returned [`CompressStats::compressed_bytes`] matches the batch path.
-struct CountingSink<'a> {
-    inner: &'a mut dyn ChunkSink,
-    emitted: usize,
-}
-
-impl ChunkSink for CountingSink<'_> {
-    fn emit(&mut self, bytes: &[u8]) {
-        self.emitted += bytes.len();
-        self.inner.emit(bytes);
-    }
-}
-
 impl SzConfig {
-    /// Streaming [`SzConfig::compress`]: identical bytes, emitted through
-    /// `sink` span by span, with buffered bytes reserved against
-    /// `budget` (see the module docs for the exact semantics). The
-    /// head-of-line chunk is always allowed to proceed even when its slot
-    /// exceeds the cap — a compressor must hold the chunk it is encoding —
-    /// so the ledger's high-water mark is bounded by
+    /// Compresses `data` into a v4 stream emitted through `sink` span by
+    /// span, with buffered bytes reserved against `budget` (see the module
+    /// docs for the retention scheme); the bytes do not depend on the
+    /// budget. The head-of-line chunk is always allowed to proceed even
+    /// when its slot exceeds the cap — a compressor must hold the chunk it
+    /// is encoding — so the ledger's high-water mark is bounded by
     /// `max(cap, one slot + head-of-line floor)`.
     pub fn compress_stream(
         &self,
@@ -89,123 +72,21 @@ impl SzConfig {
         sink: &mut dyn ChunkSink,
     ) -> Result<CompressStats, SzError> {
         let q = self.resolved_params(data, bound)?;
-        let mut out = CountingSink {
-            inner: sink,
-            emitted: 0,
-        };
-        let counts = match self.format {
-            SzFormat::V1 => self.stream_v1(data, q, budget, &mut out),
-            SzFormat::V2 => self.stream_v2(data, q, budget, &mut out)?,
-            SzFormat::V3 => self.stream_shared(data, q, VERSION_V3, budget, &mut out)?,
-            SzFormat::V4 => self.stream_shared(data, q, VERSION_V4, budget, &mut out)?,
-        };
-        Ok(CompressStats {
-            n: data.len(),
-            unpredictable: counts.unpredictable,
-            regression_blocks: counts.regression_blocks,
-            blocks: counts.blocks,
-            compressed_bytes: out.emitted,
-        })
-    }
-
-    /// v1 is one monolithic unit — nothing to pipeline. The whole unit is
-    /// the head-of-line floor.
-    fn stream_v1(
-        &self,
-        data: &[f32],
-        q: crate::codec::QuantParams,
-        budget: &ByteBudget,
-        sink: &mut dyn ChunkSink,
-    ) -> ChunkCounts {
-        let cost = chunk_slot_bytes(data.len());
-        budget.charge(cost);
-        let (payload, counts) = self.encode_unit(data, q);
-        let mut out = Vec::with_capacity(payload.len() / 2 + 64);
-        self.write_common_header(&mut out, VERSION_V1, data.len(), q);
-        match self.backend_compress(&payload) {
-            Some((id, comp)) => {
-                out.push(id);
-                out.extend_from_slice(&comp);
-            }
-            None => {
-                out.push(0xff);
-                out.extend_from_slice(&payload);
-            }
-        }
-        sink.emit(&out);
-        budget.release(cost);
-        counts
-    }
-
-    /// v2: independent chunk records flow through the bounded pipeline
-    /// straight into the sink.
-    fn stream_v2(
-        &self,
-        data: &[f32],
-        q: crate::codec::QuantParams,
-        budget: &ByteBudget,
-        sink: &mut dyn ChunkSink,
-    ) -> Result<ChunkCounts, SzError> {
-        let n = data.len();
-        let chunk = self.resolve_chunk_len(n, q.block);
-        let n_chunks = n.div_ceil(chunk);
-        let range = |c: usize| (c * chunk, ((c + 1) * chunk).min(n));
-
-        let mut head = Vec::with_capacity(64);
-        self.write_common_header(&mut head, VERSION_V2, n, q);
-        write_varint(&mut head, chunk as u64);
-        write_varint(&mut head, n_chunks as u64);
-        sink.emit(&head);
-
-        let mut counts = ChunkCounts::default();
-        ordered_pipeline(
-            n_chunks,
-            budget,
-            default_window(),
-            |c| {
-                let (s, e) = range(c);
-                chunk_slot_bytes(e - s)
-            },
-            |c| {
-                let (s, e) = range(c);
-                let (payload, cc) = self.encode_unit(&data[s..e], q);
-                let mut record = Vec::with_capacity(payload.len() / 2 + 8);
-                self.append_backed_payload(&mut record, &payload);
-                Ok::<_, SzError>((record, cc))
-            },
-            |_, (record, cc)| {
-                sink.emit(&record);
-                counts.unpredictable += cc.unpredictable;
-                counts.regression_blocks += cc.regression_blocks;
-                counts.blocks += cc.blocks;
-                Ok(())
-            },
-        )?;
-        Ok(counts)
-    }
-
-    /// v3/v4 shared-table two-pass encode under the budget; see the
-    /// module docs for the retention scheme.
-    fn stream_shared(
-        &self,
-        data: &[f32],
-        q: crate::codec::QuantParams,
-        version: u8,
-        budget: &ByteBudget,
-        sink: &mut dyn ChunkSink,
-    ) -> Result<ChunkCounts, SzError> {
         let n = data.len();
         let chunk = self.resolve_chunk_len(n, q.block);
         let n_chunks = n.div_ceil(chunk);
         let range = |c: usize| (c * chunk, ((c + 1) * chunk).min(n));
         let want_hist = self.entropy == EntropyStage::Huffman;
+        let mut stats = CompressStats {
+            n,
+            ..CompressStats::default()
+        };
 
         // Pass 1: quantize chunks through the bounded window, folding
         // per-chunk histograms into one running total as chunks retire
         // and retaining units only while the budget has room for their
         // exact heap size.
         let mut hist: Vec<u64> = Vec::new();
-        let mut counts = ChunkCounts::default();
         let mut cache: Vec<Option<(QuantizedUnit, usize)>> = Vec::new();
         cache.resize_with(n_chunks, || None);
         ordered_pipeline(
@@ -227,9 +108,9 @@ impl SzConfig {
             },
             |c, (u, h)| {
                 huffman::merge_counts(&mut hist, &h);
-                counts.unpredictable += u.counts.unpredictable;
-                counts.regression_blocks += u.counts.regression_blocks;
-                counts.blocks += u.counts.blocks;
+                stats.unpredictable += u.verbatim.len();
+                stats.regression_blocks += u.reg_params.len();
+                stats.blocks += u.selectors.len();
                 let keep = u.heap_bytes();
                 if budget.try_charge(keep) {
                     cache[c] = Some((u, keep));
@@ -246,18 +127,15 @@ impl SzConfig {
         drop(hist);
 
         let mut head = Vec::with_capacity(256);
-        self.write_common_header(&mut head, version, n, q);
+        self.write_common_header(&mut head, n, q);
         write_varint(&mut head, chunk as u64);
         write_varint(&mut head, n_chunks as u64);
         head.push(self.entropy.id());
         if let Some((code, _)) = &shared {
-            if version == VERSION_V3 {
-                code.serialize(&mut head);
-            } else {
-                write_backed_table(&mut head, code, self.backend.is_some());
-            }
+            write_backed_table(&mut head, code, self.backend.is_some());
         }
         sink.emit(&head);
+        stats.compressed_bytes += head.len();
 
         // Pass 2: serialize records against the shared table — retained
         // units as-is, dropped units re-quantized (pure per chunk, so the
@@ -287,13 +165,14 @@ impl SzConfig {
             },
             |_, record| {
                 sink.emit(&record);
+                stats.compressed_bytes += record.len();
                 Ok(())
             },
         )?;
         for (_, keep) in cache.into_iter().flatten() {
             budget.release(keep);
         }
-        Ok(counts)
+        Ok(stats)
     }
 }
 
@@ -316,32 +195,73 @@ mod tests {
             .collect()
     }
 
-    fn stream_bytes(cfg: &SzConfig, data: &[f32], cap: Option<usize>) -> (Vec<u8>, CompressStats) {
+    /// The golden input: 300 LCG-seed-42 weight-like values (sum of four
+    /// uniforms), the input every checked-in SZ golden was captured from.
+    fn golden_input() -> Vec<f32> {
+        let mut s = 42u64;
+        let mut next = || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 11) as f64 / (1u64 << 53) as f64) as f32
+        };
+        (0..300)
+            .map(|_| (next() + next() + next() + next() - 2.0) * 0.1)
+            .collect()
+    }
+
+    /// The checked-in v4 stream of [`golden_input`] at `chunk_elems = 128`
+    /// (3 chunks) and eb = 1e-2; `tests/format_v3.rs` pins its decode.
+    const GOLDEN_V4: &[u8] = include_bytes!("../tests/fixtures/v4_300.bin");
+
+    fn stream_bytes(
+        cfg: &SzConfig,
+        data: &[f32],
+        eb: f64,
+        cap: Option<usize>,
+    ) -> (Vec<u8>, CompressStats) {
         let budget = ByteBudget::new(cap);
         let mut out = Vec::new();
         let stats = cfg
-            .compress_stream(data, ErrorBound::Abs(1e-3), &budget, &mut out)
+            .compress_stream(data, ErrorBound::Abs(eb), &budget, &mut out)
             .unwrap();
         assert_eq!(budget.current(), 0, "all reservations released");
         (out, stats)
     }
 
     #[test]
-    fn stream_matches_batch_for_every_format_and_budget() {
-        let data = sample(10_000, 0xD5A);
-        for format in [SzFormat::V1, SzFormat::V2, SzFormat::V3, SzFormat::V4] {
+    fn stream_bytes_match_golden_at_every_budget_and_worker_count() {
+        let cases = [
+            (128, golden_input(), 1e-2, Some(GOLDEN_V4)),
+            (1024, sample(10_000, 0xD5A), 1e-3, None),
+        ];
+        for (chunk_elems, data, eb, golden) in cases {
             let cfg = SzConfig {
-                format,
-                chunk_elems: 1024,
+                chunk_elems,
                 ..SzConfig::default()
             };
-            let (want, want_stats) = cfg
-                .compress_with_stats(&data, ErrorBound::Abs(1e-3))
-                .unwrap();
-            for cap in [None, Some(1), Some(chunk_slot_bytes(1024)), Some(1 << 20)] {
-                let (got, stats) = stream_bytes(&cfg, &data, cap);
-                assert_eq!(got, want, "{format:?} cap {cap:?}");
-                assert_eq!(stats, want_stats, "{format:?} cap {cap:?}");
+            let (want, want_stats) = stream_bytes(&cfg, &data, eb, None);
+            if let Some(golden) = golden {
+                assert_eq!(want, golden, "v4 encoder output drifted from the golden");
+            }
+            assert_eq!(want_stats.compressed_bytes, want.len());
+            for workers in [1, 2, 4, 8] {
+                for cap in [
+                    None,
+                    Some(1),
+                    Some(chunk_slot_bytes(chunk_elems)),
+                    Some(1 << 20),
+                ] {
+                    let (got, stats) = with_workers(workers, || stream_bytes(&cfg, &data, eb, cap));
+                    assert_eq!(
+                        got, want,
+                        "chunk {chunk_elems} workers {workers} cap {cap:?}"
+                    );
+                    assert_eq!(
+                        stats, want_stats,
+                        "chunk {chunk_elems} workers {workers} cap {cap:?}"
+                    );
+                }
             }
         }
     }
@@ -361,7 +281,7 @@ mod tests {
             };
             let want = cfg.compress(&data, ErrorBound::Abs(1e-3)).unwrap();
             for cap in [None, Some(1)] {
-                let (got, _) = stream_bytes(&cfg, &data, cap);
+                let (got, _) = stream_bytes(&cfg, &data, 1e-3, cap);
                 assert_eq!(got, want, "entropy {entropy:?} backend {backend:?}");
             }
         }
@@ -374,9 +294,9 @@ mod tests {
             chunk_elems: 2048,
             ..SzConfig::default()
         };
-        let (want, _) = stream_bytes(&cfg, &data, Some(1 << 16));
+        let (want, _) = stream_bytes(&cfg, &data, 1e-3, Some(1 << 16));
         for workers in [1, 2, 4, 8] {
-            let (got, _) = with_workers(workers, || stream_bytes(&cfg, &data, Some(1 << 16)));
+            let (got, _) = with_workers(workers, || stream_bytes(&cfg, &data, 1e-3, Some(1 << 16)));
             assert_eq!(got, want, "workers {workers}");
         }
     }
@@ -418,7 +338,7 @@ mod tests {
         for n in [0, 1, 99, 100, 101, 250] {
             let data = sample(n, n as u64 + 1);
             let want = cfg.compress(&data, ErrorBound::Abs(1e-3)).unwrap();
-            let (got, _) = stream_bytes(&cfg, &data, Some(64));
+            let (got, _) = stream_bytes(&cfg, &data, 1e-3, Some(64));
             assert_eq!(got, want, "n = {n}");
         }
     }

@@ -1,8 +1,9 @@
-//! Tests for the chunked v2 stream format: round-trips across chunk-size ×
-//! worker-count combinations, v1 backward compatibility, and container
+//! Tests for the chunked stream layout (introduced by v2, written today as
+//! v4): round-trips across chunk-size × worker-count combinations, v1
+//! backward compatibility from checked-in streams, and container
 //! determinism regardless of parallelism.
 
-use dsz_sz::{decompress, info, max_abs_error, ErrorBound, SzConfig, SzFormat};
+use dsz_sz::{decompress, info, max_abs_error, ErrorBound, SzConfig};
 use dsz_tensor::parallel::with_workers;
 use proptest::prelude::*;
 
@@ -28,10 +29,9 @@ proptest! {
         chunk_idx in 0usize..5,
         workers in 1usize..5,
     ) {
-        // 0 = legacy v1; small chunks force many units; large = one unit.
+        // 0 = adaptive; small chunks force many units; large = one unit.
         let chunk_elems = [0usize, 128, 512, 4096, 1 << 16][chunk_idx];
-        let format = if chunk_elems == 0 { SzFormat::V1 } else { SzFormat::V2 };
-        let cfg = SzConfig { chunk_elems, format, ..SzConfig::default() };
+        let cfg = SzConfig { chunk_elems, ..SzConfig::default() };
         let eb = 1e-3;
         let (blob, back) = with_workers(workers, || {
             let blob = cfg.compress(&data, ErrorBound::Abs(eb)).unwrap();
@@ -41,7 +41,7 @@ proptest! {
         prop_assert_eq!(back.len(), data.len());
         prop_assert!(max_abs_error(&data, &back) <= eb * (1.0 + 1e-9));
         let i = info(&blob).unwrap();
-        prop_assert_eq!(i.version, if chunk_elems == 0 { 1 } else { 2 });
+        prop_assert_eq!(i.version, 4);
         prop_assert_eq!(i.n, data.len());
     }
 
@@ -66,7 +66,6 @@ fn container_bytes_deterministic_across_worker_counts() {
     let data = weights(200_000, 7, 0.1);
     let cfg = SzConfig {
         chunk_elems: 8192,
-        format: SzFormat::V2,
         ..SzConfig::default()
     };
     let reference = with_workers(1, || cfg.compress(&data, ErrorBound::Abs(1e-3)).unwrap());
@@ -88,57 +87,41 @@ fn container_bytes_deterministic_across_worker_counts() {
     }
 }
 
-/// v1 streams (`SzFormat::V1` encodes the legacy layout) still decode,
-/// and the header survives the version dispatch.
+/// v1 streams still decode, and the header survives the version
+/// dispatch. `fixtures/v1_50k.bin` is the v1 stream the retired v1
+/// encoder wrote for `weights(50_000, 13, 0.08)` at eb = 2e-3.
 #[test]
 fn v1_streams_still_decode() {
     let data = weights(50_000, 13, 0.08);
-    let v1_cfg = SzConfig {
-        format: SzFormat::V1,
-        ..SzConfig::default()
-    };
-    let blob = v1_cfg.compress(&data, ErrorBound::Abs(2e-3)).unwrap();
+    let blob: &[u8] = include_bytes!("fixtures/v1_50k.bin");
     assert_eq!(&blob[..4], b"SZ1D");
-    assert_eq!(blob[4], 1, "SzFormat::V1 must emit a v1 stream");
+    assert_eq!(blob[4], 1, "fixture must be a v1 stream");
 
-    let i = info(&blob).unwrap();
+    let i = info(blob).unwrap();
     assert_eq!(i.version, 1);
     assert_eq!(i.n, data.len());
     assert!((i.abs_eb - 2e-3).abs() < 1e-12);
     assert_eq!(i.chunks, 1);
 
-    // Decode through the same entry point as v2, at several worker counts.
-    let back = decompress(&blob).unwrap();
+    // Decode through the same entry point as v4, at several worker counts.
+    let back = decompress(blob).unwrap();
     assert!(max_abs_error(&data, &back) <= 2e-3 * (1.0 + 1e-9));
-    let back_mt = with_workers(4, || decompress(&blob).unwrap());
+    let back_mt = with_workers(4, || decompress(blob).unwrap());
     assert_eq!(
         back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         back_mt.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
     );
 }
 
-/// A fixed v1 container captured from the legacy encoder (8 values at
+/// A fixed v1 container captured from the retired v1 encoder (8 values at
 /// eb = 1e-2, default configuration): hardcoded bytes, so *any* drift in
-/// the v1 wire layout or decode arithmetic fails here even if encoder and
-/// decoder drift together.
+/// the v1 decode arithmetic fails here.
 #[test]
 fn v1_golden_stream_decodes() {
     let original: [f32; 8] = [0.5, 0.25, -0.125, 0.0, 1.0, -1.0, 0.75, -0.5];
-    const GOLDEN: [u8; 56] = [
-        0x53, 0x5a, 0x31, 0x44, 0x01, 0x08, 0x7b, 0x14, 0xae, 0x47, 0xe1, 0x7a, 0x84, 0x3f, 0x00,
-        0x80, 0x01, 0x80, 0x80, 0x02, 0xff, 0x03, 0x01, 0x01, 0x00, 0x00, 0x00, 0x08, 0x08, 0x00,
-        0x03, 0x9d, 0xff, 0x01, 0x03, 0x25, 0x03, 0x2c, 0x03, 0x19, 0x03, 0x13, 0x03, 0x19, 0x03,
-        0x26, 0x03, 0x03, 0x85, 0x33, 0x5e, 0x01, 0x00, 0x00, 0x80, 0x3e,
-    ];
-    // Today's encoder must still produce these bytes for this input…
-    let v1_cfg = SzConfig {
-        format: SzFormat::V1,
-        ..SzConfig::default()
-    };
-    let encoded = v1_cfg.compress(&original, ErrorBound::Abs(1e-2)).unwrap();
-    assert_eq!(encoded, GOLDEN, "v1 encoder output drifted");
-    // …and the captured bytes must decode to the captured reconstruction.
-    let back = decompress(&GOLDEN).unwrap();
+    const GOLDEN: &[u8] = include_bytes!("fixtures/v1_8.bin");
+    // The captured bytes must decode to the captured reconstruction.
+    let back = decompress(GOLDEN).unwrap();
     let expected: [f32; 8] = [0.5, 0.25, -0.13, -0.009999995, 0.99, -1.01, 0.75, -0.51];
     assert_eq!(
         back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -153,7 +136,6 @@ fn v1_golden_stream_decodes() {
 fn chunk_boundary_edge_cases() {
     let cfg = SzConfig {
         chunk_elems: 1024,
-        format: SzFormat::V2,
         ..SzConfig::default()
     };
     for n in [0usize, 1, 127, 128, 1023, 1024, 1025, 2048, 2049, 5000] {
@@ -169,29 +151,8 @@ fn chunk_boundary_edge_cases() {
     }
 }
 
-/// Chunking pays one Huffman table per chunk; at the default chunk size
-/// the overhead vs the monolithic v1 stream must stay small.
-#[test]
-fn v2_size_overhead_is_bounded() {
-    let data = weights(300_000, 3, 0.05);
-    let v1 = SzConfig {
-        format: SzFormat::V1,
-        ..SzConfig::default()
-    }
-    .compress(&data, ErrorBound::Abs(1e-3))
-    .unwrap();
-    let v2 = SzConfig {
-        chunk_elems: 1 << 16,
-        format: SzFormat::V2,
-        ..SzConfig::default()
-    }
-    .compress(&data, ErrorBound::Abs(1e-3))
-    .unwrap();
-    let inflation = v2.len() as f64 / v1.len() as f64;
-    assert!(inflation < 1.10, "v2 is {inflation:.3}x the v1 size");
-}
-
-/// Both formats must honor every predictor mode.
+/// Every predictor mode roundtrips through a chunk size that is not a
+/// whole number of prediction blocks (rounded up to 2048).
 #[test]
 fn all_predictors_roundtrip_in_v2() {
     use dsz_sz::PredictorMode;
@@ -203,11 +164,11 @@ fn all_predictors_roundtrip_in_v2() {
     ] {
         let cfg = SzConfig {
             predictor: mode,
-            chunk_elems: 2048,
-            format: SzFormat::V2,
+            chunk_elems: 2000,
             ..SzConfig::default()
         };
         let blob = cfg.compress(&data, ErrorBound::Abs(1e-3)).unwrap();
+        assert_eq!(info(&blob).unwrap().chunk_elems, 2048);
         let back = with_workers(4, || decompress(&blob).unwrap());
         assert!(
             max_abs_error(&data, &back) <= 1e-3 * (1.0 + 1e-9),

@@ -45,16 +45,29 @@ thread_local! {
     static WORKER_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Returns the worker count used by the helpers in this module.
+/// Returns the worker count used by the helpers in this module: the
+/// thread-local [`with_workers`] override if one is set, else the process
+/// budget — `DSZ_THREADS` if set (clamped to [`host_parallelism`]), else
+/// `available_parallelism()`.
 pub fn worker_count() -> usize {
     if let Some(n) = WORKER_OVERRIDE.with(Cell::get) {
         return n.max(1);
     }
-    layout_workers()
+    // The env var cannot change mid-process in any supported way, so read
+    // and parse it once; this sits on the matmul hot path.
+    static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
+    match ENV_THREADS.get_or_init(|| {
+        std::env::var("DSZ_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+    }) {
+        Some(n) => clamp_to_host(*n),
+        None => host_parallelism(),
+    }
 }
 
 /// Hardware parallelism of this host, cached (the syscall sits on the
-/// matmul hot path via [`worker_count`] → [`layout_workers`]).
+/// matmul hot path via [`worker_count`]).
 pub fn host_parallelism() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
     *HOST.get_or_init(|| {
@@ -67,42 +80,15 @@ pub fn host_parallelism() -> usize {
 /// Clamps a requested worker count to what the host can actually run
 /// concurrently: `[1, available_parallelism()]`.
 ///
-/// Worker counts above the core count never help on the execution side —
-/// they only add queue wakeups and context switches (a measured 33 → 44 ms
-/// encode regression for `DSZ_THREADS=4` on a 1-core host) — and on the
-/// layout side they shrink the adaptive SZ chunk size, baking extra
-/// chunk-framing overhead into the container bytes. Both [`layout_workers`]
-/// and the pool-engagement decision in each helper below route through
-/// this clamp; the explicit [`with_workers`] *budget* is intentionally not
-/// clamped, so budget-nesting arithmetic (and the tests pinning it) stays
-/// host-independent.
+/// Worker counts above the core count never help — they only add queue
+/// wakeups and context switches (a measured 33 → 44 ms encode regression
+/// for `DSZ_THREADS=4` on a 1-core host). Both the process budget read by
+/// [`worker_count`] and the pool-engagement decision in each helper below
+/// route through this clamp; the explicit [`with_workers`] *budget* is
+/// intentionally not clamped, so budget-nesting arithmetic (and the tests
+/// pinning it) stays host-independent.
 pub fn clamp_to_host(requested: usize) -> usize {
     requested.clamp(1, host_parallelism())
-}
-
-/// Process-level worker budget: `DSZ_THREADS` if set (clamped to
-/// [`host_parallelism`]), else `available_parallelism()` — ignoring any
-/// [`with_workers`] override.
-///
-/// Use this for **layout** decisions that must not vary with execution
-/// pinning (e.g. the SZ v3/v4 adaptive chunk size, which is baked into the
-/// container bytes): `with_workers` exists so tests and benches can sweep
-/// execution parallelism while the emitted bytes stay identical. Clamping
-/// the env value means `DSZ_THREADS=4` on a 1-core host emits byte-identical
-/// containers to `DSZ_THREADS=1` instead of quarter-sized adaptive chunks.
-pub fn layout_workers() -> usize {
-    // The env var cannot change mid-process in any supported way, so read
-    // and parse it once; this sits on the matmul hot path via
-    // `worker_count`.
-    static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
-    if let Some(n) = ENV_THREADS.get_or_init(|| {
-        std::env::var("DSZ_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-    }) {
-        return clamp_to_host(*n);
-    }
-    host_parallelism()
 }
 
 /// Runs `f` with the calling thread's worker count pinned to `n`.
@@ -512,13 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_workers_ignores_execution_pinning() {
-        let base = layout_workers();
-        with_workers(1, || assert_eq!(layout_workers(), base));
-        with_workers(64, || assert_eq!(layout_workers(), base));
-    }
-
-    #[test]
     fn clamp_to_host_bounds_requests() {
         let host = host_parallelism();
         assert!(host >= 1);
@@ -533,11 +512,10 @@ mod tests {
     }
 
     #[test]
-    fn layout_workers_never_exceed_host() {
+    fn process_budget_never_exceeds_host() {
         // Whatever `DSZ_THREADS` the tier-1 sweep set for this process, the
-        // layout budget is host-clamped, so adaptive chunk geometry (and
-        // with it container bytes) cannot oversubscribe the host.
-        assert!(layout_workers() <= host_parallelism());
+        // budget outside any `with_workers` pin is host-clamped.
+        assert!(worker_count() <= host_parallelism());
     }
 
     #[test]

@@ -18,8 +18,8 @@ cargo test -q -p dsz_core --test fault_injection
 # Random-access + spill gate: the seekable reader's lazy-verify agreement
 # campaign and the disk-spill bit-identity/poisoned-file suites, under
 # both worker budgets (the spill path must be byte-stable regardless of
-# DSZ_THREADS, and the thread_clamp suite pins the container bytes both
-# ways).
+# DSZ_THREADS, and the thread_clamp suite's cross-host golden container
+# FNV must hold under both, since chunk geometry ignores worker counts).
 for t in 1 4; do
   DSZ_THREADS=$t cargo test -q -p dsz_core --test seekable
   DSZ_THREADS=$t cargo test -q -p dsz_core --test spill_streaming

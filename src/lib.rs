@@ -61,5 +61,5 @@ pub mod prelude {
         BatchConfig, ModelRegistry, ServeError, Server, ServerConfig, SubmitOptions,
     };
     pub use crate::sparse::{Csr, PairArray};
-    pub use crate::sz::{ErrorBound, SzConfig, SzFormat};
+    pub use crate::sz::{ErrorBound, SzConfig};
 }
