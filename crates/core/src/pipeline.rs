@@ -47,12 +47,14 @@
 use crate::assessment::LayerAssessment;
 use crate::codec::DataCodecKind;
 use crate::optimizer::Plan;
+use crate::seek::ByteSource;
 use crate::DeepSzError;
 use dsz_lossless::bits::{read_varint, write_varint};
 use dsz_lossless::{fnv1a, CodecError, Fnv1a, LosslessKind};
 use dsz_nn::Network;
 use dsz_sparse::PairArray;
 use dsz_tensor::parallel::parallel_map;
+use std::ops::Range;
 use std::time::Instant;
 
 pub(crate) const MAGIC: &[u8; 4] = b"DSZM";
@@ -432,6 +434,9 @@ pub(crate) struct RawLayerRecord<'a> {
     pub(crate) idx_blob: &'a [u8],
 }
 
+/// A parsed record and its byte span in the container.
+pub(crate) type SpannedRecord<'a> = (Range<usize>, RawLayerRecord<'a>);
+
 /// Parses one layer record starting at `*pos` in `region`, advancing
 /// `*pos` past it. Shared by the sequential container walk below and the
 /// seekable reader (`crate::seek`), which hands in a single footer-sliced
@@ -497,62 +502,84 @@ pub(crate) fn parse_one_record<'a>(
     })
 }
 
-/// Advances `pos` to the next [`RECORD_ALIGN`] boundary, requiring every
-/// skipped byte to be zero — the only thing allowed between v4 records.
-pub(crate) fn skip_record_padding(region: &[u8], pos: &mut usize) -> Result<(), DeepSzError> {
-    let aligned = pos
-        .checked_add(RECORD_ALIGN - 1)
-        .ok_or(CodecError::Truncated)?
-        / RECORD_ALIGN
-        * RECORD_ALIGN;
-    let pad = region.get(*pos..aligned).ok_or(CodecError::Truncated)?;
-    if pad.iter().any(|&b| b != 0) {
-        return Err(DeepSzError::BadContainer(
-            "nonzero bytes in record alignment padding".into(),
-        ));
-    }
-    *pos = aligned;
-    Ok(())
+/// One v3/v4 footer entry: where a record sits and what its bytes hash to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordEntry {
+    pub(crate) off: usize,
+    pub(crate) len: usize,
+    /// v4 only: ordinal-tagged FNV over the record's full span.
+    pub(crate) rec_fnv: Option<u64>,
+    pub(crate) data_fnv: u64,
+    pub(crate) idx_fnv: u64,
 }
 
-/// Parses the container framing into per-layer records without decoding
-/// any payload (shared by [`decode_model`] and the streaming loader).
-/// Dispatches on the container version byte: v1 records carry no data
-/// codec id (SZ is implied), v2 records name their codec, v3 appends a
-/// checksummed footer/trailer that is verified here — whole-container
-/// FNV first, then per-record spans and blob checksums — *before* any
-/// payload is handed to a decompressor, and v4 additionally aligns each
-/// record to a 64-byte boundary and digests its full span
-/// (`docs/FORMAT.md`). Every version rejects a container with two
-/// records for the same layer index.
-pub(crate) fn parse_records(bytes: &[u8]) -> Result<Vec<RawLayerRecord<'_>>, DeepSzError> {
-    if bytes.len() < 5 || &bytes[..4] != MAGIC {
-        return Err(DeepSzError::BadContainer("bad magic".into()));
+/// A v3/v4 container's framing: everything but the record bytes.
+pub(crate) struct Framing {
+    pub(crate) version: u8,
+    /// First byte after the layer-count varint.
+    pub(crate) records_start: usize,
+    pub(crate) entries: Vec<RecordEntry>,
+}
+
+/// Checks the `"DSZM"` magic and returns the version byte.
+fn read_version<S: ByteSource>(src: &S) -> Result<u8, DeepSzError> {
+    let bad_magic = || DeepSzError::BadContainer("bad magic".into());
+    if src.len() < 5 {
+        return Err(bad_magic());
     }
-    let version = bytes[4];
+    let header = src.read_at(0, 5)?;
+    if &header[..4] != MAGIC {
+        return Err(bad_magic());
+    }
+    let version = header[4];
     if !(VERSION_V1..=VERSION_V4).contains(&version) {
         return Err(DeepSzError::BadContainer("unsupported version".into()));
     }
+    Ok(version)
+}
 
-    // v3/v4: authenticate the whole byte string before trusting any field
-    // in it. A container that fails here never reaches the record parser.
-    let records_end = if version >= VERSION_V3 {
-        let len = bytes.len();
-        if len < 6 + TRAILER_LEN {
-            return Err(DeepSzError::BadContainer(
-                "checksummed container shorter than its trailer".into(),
-            ));
-        }
-        let want_magic = if version >= VERSION_V4 {
-            TRAILER_MAGIC_V4
-        } else {
-            TRAILER_MAGIC_V3
-        };
-        if &bytes[len - 4..] != want_magic {
-            return Err(DeepSzError::BadContainer("trailer magic missing".into()));
-        }
-        let stored_fnv = read_u64_le(bytes, len - 12).ok_or(CodecError::Truncated)?;
-        let actual_fnv = fnv1a(&bytes[..len - 12]);
+/// Reads a v3/v4 container's header, layer count, trailer and footer into
+/// [`RecordEntry`]s — O(layers), no record is read — and applies every
+/// span rule, so every reader accepts the same framing:
+///
+/// * the layer count is bounded by what the footer can hold before
+///   anything is reserved;
+/// * records are contiguous from the header: each starts where the
+///   previous one (or the layer count) ends — for v4, at the next
+///   [`RECORD_ALIGN`] boundary after it;
+/// * the last record ends at `footer_start`, and the footer is consumed
+///   exactly.
+///
+/// With `authenticate`, the whole-container FNV is checked right after
+/// the trailer magic, before any other field is trusted.
+pub(crate) fn read_framing<S: ByteSource>(
+    src: &S,
+    authenticate: bool,
+) -> Result<Framing, DeepSzError> {
+    let bad = |msg: &str| DeepSzError::BadContainer(msg.into());
+    let version = read_version(src)?;
+    if version < VERSION_V3 {
+        return Err(bad(
+            "container version has no footer index (only v3/v4 are seekable)",
+        ));
+    }
+    let v4 = version >= VERSION_V4;
+    let len = src.len();
+    if len < 6 + TRAILER_LEN {
+        return Err(bad("checksummed container shorter than its trailer"));
+    }
+    let trailer = src.read_at(len - TRAILER_LEN, TRAILER_LEN)?;
+    let want_magic = if v4 {
+        TRAILER_MAGIC_V4
+    } else {
+        TRAILER_MAGIC_V3
+    };
+    if &trailer[TRAILER_LEN - 4..] != want_magic {
+        return Err(bad("trailer magic missing"));
+    }
+    if authenticate {
+        let stored_fnv = read_u64_le(&trailer, 8).ok_or(CodecError::Truncated)?;
+        let actual_fnv = fnv1a(&src.read_at(0, len - 12)?);
         if stored_fnv != actual_fnv {
             return Err(corrupt(
                 "<container>",
@@ -560,104 +587,171 @@ pub(crate) fn parse_records(bytes: &[u8]) -> Result<Vec<RawLayerRecord<'_>>, Dee
                 format!("container fnv mismatch: stored {stored_fnv:#018x}, computed {actual_fnv:#018x}"),
             ));
         }
-        let footer_start = read_u64_le(bytes, len - TRAILER_LEN).ok_or(CodecError::Truncated)?;
-        let footer_start = usize::try_from(footer_start)
-            .map_err(|_| DeepSzError::BadContainer("footer offset overflows".into()))?;
-        if footer_start < 6 || footer_start > len - TRAILER_LEN {
-            return Err(DeepSzError::BadContainer(
-                "footer offset out of bounds".into(),
-            ));
-        }
-        footer_start
-    } else {
-        bytes.len()
-    };
-    let region = &bytes[..records_end];
+    }
+    let footer_start = read_u64_le(&trailer, 0)
+        .and_then(|v| usize::try_from(v).ok())
+        .ok_or_else(|| bad("footer offset overflows"))?;
+    if footer_start < 6 || footer_start > len - TRAILER_LEN {
+        return Err(bad("footer offset out of bounds"));
+    }
 
-    let mut pos = 5usize;
-    let n_layers = read_varint_len(region, &mut pos, "layer count")?;
-    // Each record occupies at least a dozen bytes; a count beyond the
-    // container size is corrupt and must not size the allocation below.
-    if n_layers > region.len() {
-        return Err(DeepSzError::BadContainer(
-            "layer count exceeds container size".into(),
+    // The layer count is the varint straight after the header: at most
+    // 10 bytes, clipped to the records region.
+    let count = src.read_at(5, (footer_start - 5).min(10))?;
+    let mut cpos = 0usize;
+    let n_layers = read_varint_len(&count, &mut cpos, "layer count")?;
+    let records_start = 5 + cpos;
+    let footer = src.read_at(footer_start, len - TRAILER_LEN - footer_start)?;
+    // Smallest entry: one-byte offset and length varints plus two (v3)
+    // or three (v4) u64 digests.
+    let fits = footer.len() / if v4 { 26 } else { 18 };
+    if n_layers > fits {
+        return Err(DeepSzError::BadContainer(format!(
+            "layer count {n_layers} exceeds the {fits} entries a {}-byte footer can hold",
+            footer.len()
+        )));
+    }
+
+    let digest = |fpos: &mut usize| {
+        let v = read_u64_le(&footer, *fpos).ok_or_else(|| bad("footer truncated"))?;
+        *fpos += 8;
+        Ok::<u64, DeepSzError>(v)
+    };
+    let mut fpos = 0usize;
+    let mut end = records_start;
+    let mut entries = Vec::with_capacity(n_layers);
+    for i in 0..n_layers {
+        let off = read_varint_len(&footer, &mut fpos, "footer record offset")?;
+        let rec_len = read_varint_len(&footer, &mut fpos, "footer record length")?;
+        let rec_fnv = if v4 { Some(digest(&mut fpos)?) } else { None };
+        let data_fnv = digest(&mut fpos)?;
+        let idx_fnv = digest(&mut fpos)?;
+        let want_off = if v4 {
+            end.div_ceil(RECORD_ALIGN) * RECORD_ALIGN
+        } else {
+            end
+        };
+        if off != want_off {
+            return Err(DeepSzError::BadContainer(format!(
+                "record {i} starts at {off}, not at {want_off} where the records before it end"
+            )));
+        }
+        end = off
+            .checked_add(rec_len)
+            .filter(|&e| rec_len > 0 && e <= footer_start)
+            .ok_or_else(|| {
+                DeepSzError::BadContainer(format!(
+                    "record {i} span {off}+{rec_len} is empty or runs into the footer"
+                ))
+            })?;
+        entries.push(RecordEntry {
+            off,
+            len: rec_len,
+            rec_fnv,
+            data_fnv,
+            idx_fnv,
+        });
+    }
+    if fpos != footer.len() {
+        return Err(bad("footer has trailing bytes"));
+    }
+    if end != footer_start {
+        return Err(bad("records do not end at the footer"));
+    }
+    Ok(Framing {
+        version,
+        records_start,
+        entries,
+    })
+}
+
+/// Checks record `ordinal`'s bytes against its footer entry — the v4
+/// ordinal-tagged span digest first (it covers every header field), then
+/// a parse that must fill the span exactly, then the blob digests — and
+/// returns the parsed record. No payload is decompressed.
+pub(crate) fn verify_record<'a>(
+    record: &'a [u8],
+    ordinal: usize,
+    entry: &RecordEntry,
+    version: u8,
+) -> Result<RawLayerRecord<'a>, DeepSzError> {
+    if let Some(want) = entry.rec_fnv {
+        if fnv1a_tagged(ordinal as u64, record) != want {
+            let label = format!("<record {ordinal}>");
+            return Err(corrupt(&label, "checksum", "record span fnv mismatch"));
+        }
+    }
+    let mut pos = 0usize;
+    let r = parse_one_record(record, &mut pos, version)?;
+    if pos != record.len() {
+        return Err(corrupt(
+            r.name,
+            "checksum",
+            "record does not fill its footer span",
         ));
     }
-    let mut records = Vec::with_capacity(n_layers);
-    // v3/v4 cross-check material: where each record actually landed.
-    let mut spans: Vec<(usize, usize)> =
-        Vec::with_capacity(if version >= VERSION_V3 { n_layers } else { 0 });
-    for _ in 0..n_layers {
-        if version >= VERSION_V4 {
-            skip_record_padding(region, &mut pos)?;
-        }
-        let record_start = pos;
-        let record = parse_one_record(region, &mut pos, version)?;
-        if version >= VERSION_V3 {
-            spans.push((record_start, pos - record_start));
-        }
-        records.push(record);
+    if fnv1a(r.data_blob) != entry.data_fnv {
+        return Err(corrupt(r.name, "checksum", "data blob fnv mismatch"));
     }
+    if fnv1a(r.idx_blob) != entry.idx_fnv {
+        return Err(corrupt(r.name, "checksum", "index blob fnv mismatch"));
+    }
+    Ok(r)
+}
 
-    if version >= VERSION_V3 {
-        // The records must fill the region exactly — trailing slack would
-        // be bytes the footer never indexed.
-        if pos != records_end {
-            return Err(DeepSzError::BadContainer(
-                "records do not end at the footer".into(),
-            ));
-        }
-        // Footer: per record `offset varint | len varint | {rec_fnv u64
-        // if v4} | data_fnv u64 | idx_fnv u64`, consumed exactly,
-        // cross-checked against where the records actually parsed and what
-        // their bytes hash to.
-        let footer = &bytes[records_end..bytes.len() - TRAILER_LEN];
-        let mut fpos = 0usize;
-        for (ordinal, (rec, &(start, len))) in records.iter().zip(&spans).enumerate() {
-            let f_off = read_varint_len(footer, &mut fpos, "footer record offset")?;
-            let f_len = read_varint_len(footer, &mut fpos, "footer record length")?;
-            let f_rec_fnv = if version >= VERSION_V4 {
-                let v = read_u64_le(footer, fpos).ok_or(CodecError::Truncated)?;
-                fpos += 8;
-                Some(v)
-            } else {
-                None
-            };
-            let f_data_fnv = read_u64_le(footer, fpos).ok_or(CodecError::Truncated)?;
-            fpos += 8;
-            let f_idx_fnv = read_u64_le(footer, fpos).ok_or(CodecError::Truncated)?;
-            fpos += 8;
-            if f_off != start || f_len != len {
-                return Err(corrupt(
-                    rec.name,
-                    "checksum",
-                    format!(
-                        "footer span {f_off}+{f_len} disagrees with parsed record at {start}+{len}"
-                    ),
+/// Parses a container into per-layer records — each with its byte span
+/// in `bytes` — without decoding any payload (shared by [`decode_model`]
+/// and the streaming loader). v3/v4 go through [`read_framing`] with the
+/// whole-container FNV checked first, then every v4 alignment gap must be
+/// zero and every record must pass [`verify_record`] — all *before* any
+/// payload reaches a decompressor. v1/v2 carry no footer: their records
+/// are walked back to back from the header (v1 records have no data codec
+/// id; SZ is implied). Every version rejects a container with two records
+/// for the same layer index (`docs/FORMAT.md`).
+pub(crate) fn parse_records(bytes: &[u8]) -> Result<Vec<SpannedRecord<'_>>, DeepSzError> {
+    let version = read_version(&bytes)?;
+    let records = if version >= VERSION_V3 {
+        let framing = read_framing(&bytes, true)?;
+        let mut records = Vec::with_capacity(framing.entries.len());
+        let mut end = framing.records_start;
+        // `read_framing` bounded every span inside the records region.
+        for (ordinal, e) in framing.entries.iter().enumerate() {
+            if bytes[end..e.off].iter().any(|&b| b != 0) {
+                return Err(DeepSzError::BadContainer(
+                    "nonzero bytes in record alignment padding".into(),
                 ));
             }
-            if let Some(want) = f_rec_fnv {
-                if want != fnv1a_tagged(ordinal as u64, &bytes[start..start + len]) {
-                    return Err(corrupt(rec.name, "checksum", "record span fnv mismatch"));
-                }
-            }
-            if f_data_fnv != fnv1a(rec.data_blob) {
-                return Err(corrupt(rec.name, "checksum", "data blob fnv mismatch"));
-            }
-            if f_idx_fnv != fnv1a(rec.idx_blob) {
-                return Err(corrupt(rec.name, "checksum", "index blob fnv mismatch"));
-            }
+            end = e.off + e.len;
+            let record = verify_record(&bytes[e.off..end], ordinal, e, version)?;
+            records.push((e.off..end, record));
         }
-        if fpos != footer.len() {
-            return Err(DeepSzError::BadContainer(
-                "footer has trailing bytes".into(),
-            ));
+        records
+    } else {
+        let mut pos = 5usize;
+        let n_layers = read_varint_len(bytes, &mut pos, "layer count")?;
+        // No checksum guards a v1/v2 count: bound it by what the record
+        // region can hold before it sizes the allocation below. Smallest
+        // v1 record: six one-byte varints, the f64 error bound and the
+        // index codec id; v2 adds the data codec id.
+        let region = bytes.len() - pos;
+        let fits = region / if version >= VERSION_V2 { 16 } else { 15 };
+        if n_layers > fits {
+            return Err(DeepSzError::BadContainer(format!(
+                "layer count {n_layers} exceeds the {fits} records a {region}-byte region can hold"
+            )));
         }
-    }
+        let mut records = Vec::with_capacity(n_layers);
+        for _ in 0..n_layers {
+            let start = pos;
+            let record = parse_one_record(bytes, &mut pos, version)?;
+            records.push((start..pos, record));
+        }
+        records
+    };
     // Two records for one layer would leave readers to disagree on which
     // one wins; no encoder writes that, so no reader accepts it.
     let mut seen = std::collections::HashSet::with_capacity(records.len());
-    if let Some(dup) = records.iter().find(|r| !seen.insert(r.layer_index)) {
+    if let Some((_, dup)) = records.iter().find(|(_, r)| !seen.insert(r.layer_index)) {
         return Err(DeepSzError::BadContainer(format!(
             "layer index {} has more than one record",
             dup.layer_index
@@ -667,8 +761,8 @@ pub(crate) fn parse_records(bytes: &[u8]) -> Result<Vec<RawLayerRecord<'_>>, Dee
 }
 
 /// Verifies a container's structural integrity without decompressing any
-/// payload: framing, version dispatch, and — for v3 — the whole-container
-/// FNV-1a, footer spans, and per-blob checksums. Returns the layer count.
+/// payload: framing, version dispatch, and — for v3/v4 — the whole-container
+/// FNV-1a, footer spans, and per-record checksums. Returns the layer count.
 /// For v1/v2 containers (no integrity information on the wire) this only
 /// proves the framing parses. Cost is one linear hash pass over the
 /// bytes; the bench reports it as `checksum_verify_ms`.
@@ -710,7 +804,7 @@ pub fn rewrite_layer_data(
     }
     let mut w = ContainerWriter::new(Vec::new(), records.len())?;
     let mut mutate = Some(mutate);
-    for (i, r) in records.iter().enumerate() {
+    for (i, (_, r)) in records.iter().enumerate() {
         let mut data = r.data_blob.to_vec();
         if i == ordinal {
             if let Some(m) = mutate.take() {
@@ -849,7 +943,7 @@ pub fn decode_model(
 ) -> Result<(Vec<DecodedLayer>, DecodeTiming), DeepSzError> {
     let t0 = Instant::now();
     let records = parse_records(&model.bytes)?;
-    let results = parallel_map(&records, decode_record);
+    let results = parallel_map(&records, |(_, r)| decode_record(r));
     let mut layers = Vec::with_capacity(records.len());
     let mut timing = DecodeTiming::default();
     for r in results {

@@ -9,13 +9,18 @@
 //! rest. [`SeekableContainer`] does exactly that:
 //!
 //! * **Open** reads only the 5-byte header, the 20-byte trailer, the
-//!   layer-count varint, and the footer — O(layers), not O(bytes). The
-//!   footer's spans are validated structurally (monotonic, non-
-//!   overlapping, in bounds, v4-aligned) but no record byte is hashed.
-//! * **`layer(i)`** slices record `i` via its footer entry, verifies
-//!   *that record's* checksums lazily — the v4 ordinal-tagged full-span
-//!   FNV when present, always the per-blob FNVs — and decodes it through
-//!   the [`DataCodec`](crate::codec::DataCodec) registry.
+//!   layer-count varint, and the footer — O(layers), not O(bytes) —
+//!   through the framing reader the sequential parse uses, so both apply
+//!   the same span rules (records contiguous from the header, v4-aligned,
+//!   the last one ending at the footer; the count bounded by the footer).
+//!   No record byte is read or hashed.
+//! * **`layer(i)`** reads record `i`'s span via its footer entry and
+//!   checks it with the sequential parse's per-record verifier — the v4
+//!   ordinal-tagged full-span FNV when present, an exact-fill parse,
+//!   always the per-blob FNVs — then decodes it through the
+//!   [`DataCodec`](crate::codec::DataCodec) registry. Only the
+//!   whole-container FNV and the zero padding between v4 records are
+//!   left to the full parse.
 //!
 //! The byte source is abstracted behind [`ByteSource`] so the same
 //! reader serves borrowed in-memory bytes (zero-copy slicing, the
@@ -29,12 +34,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::pipeline::{
-    corrupt, decode_record, fnv1a_tagged, parse_one_record, read_u64_le, read_varint_len,
-    DecodedLayer, MAGIC, RECORD_ALIGN, TRAILER_LEN, TRAILER_MAGIC_V3, TRAILER_MAGIC_V4, VERSION_V3,
-    VERSION_V4,
+    decode_record, read_framing, verify_record, DecodedLayer, Framing, RecordEntry,
 };
 use crate::DeepSzError;
-use dsz_lossless::fnv1a;
 use std::borrow::Cow;
 use std::fs::File;
 use std::path::Path;
@@ -135,17 +137,6 @@ impl ByteSource for FileSource {
     }
 }
 
-/// One footer entry, resolved to native offsets at open time.
-#[derive(Debug, Clone, Copy)]
-struct FooterEntry {
-    off: usize,
-    len: usize,
-    /// v4 only: ordinal-tagged FNV over the record's full span.
-    rec_fnv: Option<u64>,
-    data_fnv: u64,
-    idx_fnv: u64,
-}
-
 /// A checksummed container opened for per-layer random access.
 ///
 /// Open cost is O(layers); each [`layer`](Self::layer) call reads,
@@ -156,7 +147,7 @@ struct FooterEntry {
 pub struct SeekableContainer<S: ByteSource> {
     source: S,
     version: u8,
-    entries: Vec<FooterEntry>,
+    entries: Vec<RecordEntry>,
 }
 
 impl<'a> SeekableContainer<&'a [u8]> {
@@ -179,114 +170,9 @@ impl<S: ByteSource> SeekableContainer<S> {
     /// else. No record byte is read or hashed here; integrity of each
     /// record is established lazily by [`layer`](Self::layer).
     pub fn open(source: S) -> Result<Self, DeepSzError> {
-        let total = source.len();
-        if total < 5 + 1 + TRAILER_LEN {
-            return Err(DeepSzError::BadContainer(
-                "container shorter than header + trailer".into(),
-            ));
-        }
-        let header = source.read_at(0, 5)?;
-        if &header[..4] != MAGIC {
-            return Err(DeepSzError::BadContainer("bad magic".into()));
-        }
-        let version = header[4];
-        if !(VERSION_V3..=VERSION_V4).contains(&version) {
-            return Err(DeepSzError::BadContainer(
-                "container version has no footer index (only v3/v4 are seekable)".into(),
-            ));
-        }
-
-        let trailer = source.read_at(total - TRAILER_LEN, TRAILER_LEN)?;
-        let want_magic = if version >= VERSION_V4 {
-            TRAILER_MAGIC_V4
-        } else {
-            TRAILER_MAGIC_V3
-        };
-        if &trailer[TRAILER_LEN - 4..] != want_magic {
-            return Err(DeepSzError::BadContainer("trailer magic missing".into()));
-        }
-        let footer_start = read_u64_le(&trailer, 0)
-            .and_then(|v| usize::try_from(v).ok())
-            .ok_or_else(|| DeepSzError::BadContainer("footer offset overflows".into()))?;
-        if footer_start < 6 || footer_start > total - TRAILER_LEN {
-            return Err(DeepSzError::BadContainer(
-                "footer offset out of bounds".into(),
-            ));
-        }
-
-        // Layer count: the varint straight after the header. At most 10
-        // bytes, clipped to the records region.
-        let count_span = (footer_start - 5).min(10);
-        let count_bytes = source.read_at(5, count_span)?;
-        let mut cpos = 0usize;
-        let n_layers = read_varint_len(&count_bytes, &mut cpos, "layer count")?;
-        if n_layers > total {
-            return Err(DeepSzError::BadContainer(
-                "layer count exceeds container size".into(),
-            ));
-        }
-        let records_start = 5 + cpos;
-
-        let footer = source.read_at(footer_start, total - TRAILER_LEN - footer_start)?;
-        let mut fpos = 0usize;
-        let mut entries = Vec::with_capacity(n_layers);
-        let mut prev_end = records_start;
-        for _ in 0..n_layers {
-            let off = read_varint_len(&footer, &mut fpos, "footer record offset")?;
-            let len = read_varint_len(&footer, &mut fpos, "footer record length")?;
-            let rec_fnv = if version >= VERSION_V4 {
-                let v = read_u64_le(&footer, fpos)
-                    .ok_or(DeepSzError::BadContainer("footer truncated".into()))?;
-                fpos += 8;
-                Some(v)
-            } else {
-                None
-            };
-            let data_fnv = read_u64_le(&footer, fpos)
-                .ok_or(DeepSzError::BadContainer("footer truncated".into()))?;
-            fpos += 8;
-            let idx_fnv = read_u64_le(&footer, fpos)
-                .ok_or(DeepSzError::BadContainer("footer truncated".into()))?;
-            fpos += 8;
-            // Spans must march strictly forward without overlap and stay
-            // inside the records region; v4 spans must be aligned. This
-            // (plus the ordinal tag inside `rec_fnv`) is what stops a
-            // spliced footer from serving record j as layer i.
-            let end = off
-                .checked_add(len)
-                .ok_or_else(|| DeepSzError::BadContainer("footer span overflows".into()))?;
-            if off < prev_end || end > footer_start || len == 0 {
-                return Err(DeepSzError::BadContainer(
-                    "footer spans out of order or out of bounds".into(),
-                ));
-            }
-            if version >= VERSION_V4 && off % RECORD_ALIGN != 0 {
-                return Err(DeepSzError::BadContainer(
-                    "v4 record not aligned to the record boundary".into(),
-                ));
-            }
-            prev_end = end;
-            entries.push(FooterEntry {
-                off,
-                len,
-                rec_fnv,
-                data_fnv,
-                idx_fnv,
-            });
-        }
-        if fpos != footer.len() {
-            return Err(DeepSzError::BadContainer(
-                "footer has trailing bytes".into(),
-            ));
-        }
-        if prev_end != footer_start && version < VERSION_V4 {
-            // v3 packs records back to back; v4 may end with alignment
-            // padding that `parse_records` (not this lazy path) verifies.
-            return Err(DeepSzError::BadContainer(
-                "records do not end at the footer".into(),
-            ));
-        }
-
+        let Framing {
+            version, entries, ..
+        } = read_framing(&source, false)?;
         Ok(Self {
             source,
             version,
@@ -306,43 +192,23 @@ impl<S: ByteSource> SeekableContainer<S> {
 
     /// Reads, verifies, and decodes layer `i` — and only layer `i`.
     ///
-    /// Verification order mirrors the sequential decoder's: the v4
-    /// full-span digest first (cheap, covers every header field), then
-    /// the record parse with exact-span consumption, then the per-blob
-    /// FNVs, and only then decompression. On v3 the span digest does not
-    /// exist on the wire, so corruption of non-blob header fields is
-    /// caught by parse/decode cross-checks rather than a checksum — see
-    /// `docs/ROBUSTNESS.md` for the exact guarantee ladder.
+    /// The record goes through the sequential parser's own per-record
+    /// check: the v4 full-span digest first (cheap, covers every header
+    /// field), then the record parse with exact-span consumption, then
+    /// the per-blob FNVs, and only then decompression. On v3 the span
+    /// digest does not exist on the wire, so corruption of non-blob
+    /// header fields is caught by parse/decode cross-checks rather than
+    /// a checksum — see `docs/ROBUSTNESS.md` for the exact guarantee
+    /// ladder.
     pub fn layer(&self, i: usize) -> Result<DecodedLayer, DeepSzError> {
-        let entry = *self.entries.get(i).ok_or_else(|| {
+        let entry = self.entries.get(i).ok_or_else(|| {
             DeepSzError::BadContainer(format!(
                 "layer {i} out of range ({} layers)",
                 self.entries.len()
             ))
         })?;
         let bytes = self.source.read_at(entry.off, entry.len)?;
-        let label = format!("<record {i}>");
-        if let Some(want) = entry.rec_fnv {
-            let got = fnv1a_tagged(i as u64, &bytes);
-            if got != want {
-                return Err(corrupt(&label, "checksum", "record span fnv mismatch"));
-            }
-        }
-        let mut pos = 0usize;
-        let record = parse_one_record(&bytes, &mut pos, self.version)?;
-        if pos != entry.len {
-            return Err(corrupt(
-                record.name,
-                "checksum",
-                "record does not fill its footer span",
-            ));
-        }
-        if fnv1a(record.data_blob) != entry.data_fnv {
-            return Err(corrupt(record.name, "checksum", "data blob fnv mismatch"));
-        }
-        if fnv1a(record.idx_blob) != entry.idx_fnv {
-            return Err(corrupt(record.name, "checksum", "index blob fnv mismatch"));
-        }
+        let record = verify_record(&bytes, i, entry, self.version)?;
         decode_record(&record).map(|(layer, _)| layer)
     }
 }

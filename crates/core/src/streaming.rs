@@ -10,6 +10,15 @@
 //! compressed container as the only persistent copy, resident model state
 //! shrinks by the full compression ratio.
 //!
+//! Construction runs the same full parse as
+//! [`verify_container`](crate::verify_container) — framing, every
+//! checksum, one record per layer index — and then keeps the container
+//! bytes once (an `Arc<[u8]>` shared by clones). Each fc layer is only
+//! its record's span plus the layer index, dense size and shared-cache
+//! key; a decode re-parses the record from that span with the record
+//! parser [`decode_model`] uses and runs the same three-stage decode, so
+//! no blob is copied and both paths read the same bytes the same way.
+//!
 //! # One forward loop, four weight sources
 //!
 //! Every forward runs the same loop over the network's layers. Per fc
@@ -54,17 +63,17 @@
 // input must come back as an `Err`, never a panic (`docs/ROBUSTNESS.md`).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::codec::DataCodecKind;
 use crate::layer_cache::CacheHandle;
 use crate::pipeline::{
-    decode_model, decode_record, parse_records, CompressedModel, DecodedLayer, RawLayerRecord,
+    decode_model, decode_record, parse_one_record, parse_records, CompressedModel, DecodedLayer,
 };
 use crate::spill::{SpillCache, SpillStats};
 use crate::DeepSzError;
-use dsz_lossless::{Fnv1a, LosslessKind};
+use dsz_lossless::Fnv1a;
 use dsz_nn::{dense_forward_with_weights, Batch, Layer, Network};
 use dsz_tensor::pool;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -114,50 +123,17 @@ pub enum DecodePolicy {
     ReportBadLayers,
 }
 
-/// One fc layer kept in compressed form.
+/// One fc layer's record: its span in the container bytes plus what the
+/// forward loop needs without parsing it.
 #[derive(Debug, Clone)]
 struct CompressedLayer {
-    name: String,
+    span: Range<usize>,
     layer_index: usize,
-    rows: usize,
-    cols: usize,
-    /// Error bound the layer was encoded at (metadata; decode ignores it).
-    eb: f64,
-    data_codec: DataCodecKind,
-    codec: LosslessKind,
-    data_blob: Vec<u8>,
-    idx_blob: Vec<u8>,
+    dense_bytes: usize,
     /// FNV-1a over `layer_index ‖ data_blob ‖ idx_blob` — the
     /// content-addressed part of this layer's shared-cache key, computed
     /// once at construction (`crate::layer_cache`).
     record_fnv: u64,
-}
-
-impl CompressedLayer {
-    fn decode(&self) -> Result<DecodedLayer, DeepSzError> {
-        // Same three-stage decode as the eager path (the data stage
-        // dispatches through the DataCodec registry); timing discarded.
-        let record = RawLayerRecord {
-            name: &self.name,
-            layer_index: self.layer_index,
-            rows: self.rows,
-            cols: self.cols,
-            eb: self.eb,
-            data_codec: self.data_codec,
-            codec: self.codec,
-            data_blob: &self.data_blob,
-            idx_blob: &self.idx_blob,
-        };
-        decode_record(&record).map(|(layer, _)| layer)
-    }
-
-    fn compressed_bytes(&self) -> usize {
-        self.data_blob.len() + self.idx_blob.len()
-    }
-
-    fn dense_bytes(&self) -> usize {
-        self.rows * self.cols * 4
-    }
 }
 
 /// A network whose fc weights live in DeepSZ-compressed form; dense
@@ -166,6 +142,11 @@ impl CompressedLayer {
 pub struct CompressedFcModel {
     /// The non-fc skeleton (fc layers carry empty weight buffers).
     skeleton: Network,
+    /// The container bytes, held once and shared across clones; every
+    /// decode parses its record straight out of them.
+    container: Arc<[u8]>,
+    /// Container format version (selects the record layout).
+    version: u8,
     /// The container's records, in container order.
     layers: Vec<CompressedLayer>,
     /// Per skeleton layer, the index into `layers` of the record backing
@@ -198,7 +179,7 @@ pub struct StreamingStats {
     pub peak_dense_bytes: usize,
     /// Sum of dense fc weights (what eager decoding would hold).
     pub total_dense_bytes: usize,
-    /// Persistent compressed bytes.
+    /// Persistent compressed bytes: the container the model holds.
     pub compressed_bytes: usize,
 }
 
@@ -209,51 +190,42 @@ impl CompressedFcModel {
     /// depth defaults to 1 with no decoded-bytes cap.
     pub fn new(net: &Network, model: &CompressedModel) -> Result<Self, DeepSzError> {
         let mut skeleton = net.clone();
-        let layers: Vec<CompressedLayer> = parse_records(&model.bytes)?
-            .into_iter()
-            .map(|r| {
-                let mut fnv = Fnv1a::with_tag(r.layer_index as u64);
-                fnv.update(r.data_blob);
-                fnv.update(r.idx_blob);
-                CompressedLayer {
-                    name: r.name.to_string(),
-                    layer_index: r.layer_index,
-                    rows: r.rows,
-                    cols: r.cols,
-                    eb: r.eb,
-                    data_codec: r.data_codec,
-                    codec: r.codec,
-                    data_blob: r.data_blob.to_vec(),
-                    idx_blob: r.idx_blob.to_vec(),
-                    record_fnv: fnv.finish(),
-                }
-            })
-            .collect();
+        let records = parse_records(&model.bytes)?;
+        let mut layers = Vec::with_capacity(records.len());
+        let mut slots = vec![None; skeleton.layers.len()];
         // `parse_records` rejects repeated layer indices, so each slot is
         // filled at most once.
-        let mut slots = vec![None; skeleton.layers.len()];
-        for (k, l) in layers.iter().enumerate() {
-            if l.layer_index >= skeleton.layers.len() {
+        for (span, r) in records {
+            if r.layer_index >= skeleton.layers.len() {
                 return Err(DeepSzError::BadContainer(format!(
                     "layer index {} out of range",
-                    l.layer_index
+                    r.layer_index
                 )));
             }
-            let Layer::Dense(d) = &mut skeleton.layers[l.layer_index] else {
+            let Layer::Dense(d) = &mut skeleton.layers[r.layer_index] else {
                 return Err(DeepSzError::BadContainer(format!(
                     "container layer {} targets a non-dense network layer",
-                    l.name
+                    r.name
                 )));
             };
-            if d.name != l.name || d.w.rows != l.rows || d.w.cols != l.cols {
+            if d.name != r.name || d.w.rows != r.rows || d.w.cols != r.cols {
                 return Err(DeepSzError::BadContainer(format!(
                     "layer {} does not match network layer {}",
-                    l.name, d.name
+                    r.name, d.name
                 )));
             }
-            // Release the dense weights; the compressed blob is canonical.
+            // Release the dense weights; the compressed record is canonical.
             d.w.data = Vec::new();
-            slots[l.layer_index] = Some(k);
+            slots[r.layer_index] = Some(layers.len());
+            let mut fnv = Fnv1a::with_tag(r.layer_index as u64);
+            fnv.update(r.data_blob);
+            fnv.update(r.idx_blob);
+            layers.push(CompressedLayer {
+                span,
+                layer_index: r.layer_index,
+                dense_bytes: r.rows * r.cols * 4,
+                record_fnv: fnv.finish(),
+            });
         }
         // A dense layer left with neither its weights nor a record could
         // never run; refuse it here rather than fail mid-forward.
@@ -268,6 +240,10 @@ impl CompressedFcModel {
         }
         Ok(Self {
             skeleton,
+            // parse_records validated the header, so the version byte is
+            // present.
+            version: model.bytes[4],
+            container: Arc::from(model.bytes.as_slice()),
             layers,
             slots,
             prefetch_depth: 1,
@@ -380,7 +356,7 @@ impl CompressedFcModel {
             if c.layer_index == failed_layer_index {
                 continue;
             }
-            if let Err(e) = c.decode() {
+            if let Err(e) = self.decode(c) {
                 errs.push(e);
             }
         }
@@ -442,11 +418,7 @@ impl CompressedFcModel {
         mut source: WeightSource<'_, '_>,
     ) -> Result<(Batch, StreamingStats), DeepSzError> {
         let mut stats = StreamingStats {
-            compressed_bytes: self
-                .layers
-                .iter()
-                .map(CompressedLayer::compressed_bytes)
-                .sum(),
+            compressed_bytes: self.container.len(),
             ..Default::default()
         };
         let mut cur = x.clone();
@@ -471,9 +443,16 @@ impl CompressedFcModel {
         Ok((cur, stats))
     }
 
+    /// Parses record `c` out of the container bytes and decodes it
+    /// through the eager path's three stages (timing discarded).
+    fn decode(&self, c: &CompressedLayer) -> Result<DecodedLayer, DeepSzError> {
+        let record = parse_one_record(&self.container[c.span.clone()], &mut 0, self.version)?;
+        decode_record(&record).map(|(layer, _)| layer)
+    }
+
     /// Decodes `c` inline, routing a failure through the decode policy.
     fn decode_inline(&self, c: &CompressedLayer) -> Result<Vec<f32>, DeepSzError> {
-        c.decode()
+        self.decode(c)
             .map(|decoded| decoded.dense)
             .map_err(|e| self.decode_failure(c.layer_index, e))
     }
@@ -545,7 +524,7 @@ impl WeightSource<'_, '_> {
             WeightSource::Spill(cache) => {
                 // Make room for this layer before it materializes, so
                 // cached + executing never exceeds quota + one layer.
-                cache.reserve(c.dense_bytes())?;
+                cache.reserve(c.dense_bytes)?;
                 match cache.fetch(i)? {
                     Some(parked) => Ok(Weights::Owned(parked)),
                     None => model.decode_inline(c).map(Weights::Owned),
@@ -563,7 +542,7 @@ impl WeightSource<'_, '_> {
                     model.decode_inline(c)
                 })
                 .map(Weights::Shared),
-            WeightSource::Prefetch(p) => p.acquire(model, c).map(Weights::Owned),
+            WeightSource::Prefetch(p) => p.acquire(c).map(Weights::Owned),
         }
     }
 
@@ -614,6 +593,7 @@ type Pending<'s> = (
 /// two sides (each side at least 1).
 struct Prefetch<'m, 's> {
     scope: &'s pool::PoolScope<'s, 'm>,
+    model: &'m CompressedFcModel,
     /// fc layers not yet scheduled, in execution order.
     unscheduled: VecDeque<&'m CompressedLayer>,
     pending: VecDeque<Pending<'s>>,
@@ -639,6 +619,7 @@ impl<'m, 's> Prefetch<'m, 's> {
         let depth = model.prefetch_depth;
         let mut p = Self {
             scope,
+            model,
             unscheduled: model
                 .slots
                 .iter()
@@ -663,15 +644,15 @@ impl<'m, 's> Prefetch<'m, 's> {
             let Some(&c) = self.unscheduled.front() else {
                 break;
             };
-            let bytes = c.dense_bytes();
+            let bytes = c.dense_bytes;
             if executing_bytes + self.pending_bytes + bytes > self.bytes_budget {
                 break;
             }
             self.unscheduled.pop_front();
-            let per_decode = self.per_decode_budget;
+            let (model, per_decode) = (self.model, self.per_decode_budget);
             let task = self
                 .scope
-                .spawn(move || dsz_tensor::parallel::with_workers(per_decode, || c.decode()));
+                .spawn(move || dsz_tensor::parallel::with_workers(per_decode, || model.decode(c)));
             self.pending.push_back((c.layer_index, task, bytes));
             self.pending_bytes += bytes;
         }
@@ -680,11 +661,7 @@ impl<'m, 's> Prefetch<'m, 's> {
     /// Record `c`'s weights: the queued decode when one is in flight, an
     /// inline decode when the bytes budget kept it from being scheduled.
     /// Tops the queue back up once the executing layer's size is known.
-    fn acquire(
-        &mut self,
-        model: &CompressedFcModel,
-        c: &CompressedLayer,
-    ) -> Result<Vec<f32>, DeepSzError> {
+    fn acquire(&mut self, c: &CompressedLayer) -> Result<Vec<f32>, DeepSzError> {
         let queued = match self.pending.front() {
             Some(&(i, _, _)) if i == c.layer_index => self.pending.pop_front(),
             _ => None,
@@ -694,13 +671,13 @@ impl<'m, 's> Prefetch<'m, 's> {
                 self.pending_bytes -= bytes;
                 task.join()
                     .map(|decoded| decoded.dense)
-                    .map_err(|e| model.decode_failure(c.layer_index, e))?
+                    .map_err(|e| self.model.decode_failure(c.layer_index, e))?
             }
             None => {
                 // Scheduling is in order and never skips, so with nothing
                 // queued for `c`, `c` heads the unscheduled list.
                 self.unscheduled.pop_front();
-                model.decode_inline(c)?
+                self.model.decode_inline(c)?
             }
         };
         self.schedule(dense.len() * 4);

@@ -256,6 +256,37 @@ fn overflowing_footer_varints_are_rejected() {
     }
 }
 
+/// A stomped layer count is bounded before it sizes any reservation: by
+/// the record region on v1/v2 (no checksum stops the stomp there), and by
+/// the footer on the lazy v4 open (which does not hash the container).
+/// The error names the layer count instead of surfacing as a truncation
+/// somewhere down the walk.
+#[test]
+fn stomped_layer_count_is_bounded_before_reserving() {
+    let names_count = |what: &str, r: Result<usize, DeepSzError>| match r {
+        Err(DeepSzError::BadContainer(msg)) => {
+            assert!(msg.contains("layer count"), "{what}: {msg}")
+        }
+        other => panic!("{what}: expected BadContainer, got {other:?}"),
+    };
+    for bytes in [DSZM_V1, DSZM_V2] {
+        let mut stomped = bytes.to_vec();
+        dsz_datagen::corrupt::rewrite_varint(&mut stomped, 5, bytes.len() as u64 / 2);
+        let stomped = model(&stomped);
+        names_count("verify_container", verify_container(&stomped));
+        names_count("decode_model", decode_model(&stomped).map(|(l, _)| l.len()));
+    }
+
+    let (assessments, plan) = fixture();
+    let (v4, _) = encode_with_plan_config(&assessments, &plan, &pinned_sz()).unwrap();
+    let mut stomped = v4.bytes.clone();
+    dsz_datagen::corrupt::rewrite_varint(&mut stomped, 5, 127);
+    names_count(
+        "SeekableContainer::open_slice",
+        dsz_core::SeekableContainer::open_slice(&stomped).map(|s| s.layer_count()),
+    );
+}
+
 /// An intact default-version container round-trips bit-identically
 /// regardless of the worker count (the tier-1 gate also runs this whole
 /// suite under `DSZ_THREADS=1` and `=4`).

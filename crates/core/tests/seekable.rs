@@ -128,6 +128,39 @@ fn footer_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
     spans
 }
 
+/// Inserts `n` zero bytes at `at` (at or before the footer) into a v4
+/// container, then re-serializes footer and trailer so every offset moves
+/// with its bytes and the whole-container FNV matches: the result is
+/// authentically framed and checksummed, and its only fault is the gap.
+fn insert_gap(bytes: &[u8], at: usize, n: usize) -> Vec<u8> {
+    let len = bytes.len();
+    let footer_start = u64::from_le_bytes(bytes[len - 20..len - 12].try_into().unwrap()) as usize;
+    let footer = &bytes[footer_start..len - 20];
+    let mut out = bytes[..at].to_vec();
+    out.resize(at + n, 0);
+    out.extend_from_slice(&bytes[at..footer_start]);
+    let new_footer_start = out.len() as u64;
+    let mut pos = 0usize;
+    while pos < footer.len() {
+        let off = dsz_lossless::bits::read_varint(footer, &mut pos).unwrap();
+        let rec_len = dsz_lossless::bits::read_varint(footer, &mut pos).unwrap();
+        let moved = if off as usize >= at {
+            off + n as u64
+        } else {
+            off
+        };
+        dsz_lossless::bits::write_varint(&mut out, moved);
+        dsz_lossless::bits::write_varint(&mut out, rec_len);
+        out.extend_from_slice(&footer[pos..pos + 24]); // rec/data/idx fnv
+        pos += 24;
+    }
+    out.extend_from_slice(&new_footer_start.to_le_bytes());
+    let fnv = dsz_lossless::fnv1a(&out);
+    out.extend_from_slice(&fnv.to_le_bytes());
+    out.extend_from_slice(b"DSZ4");
+    out
+}
+
 /// The core agreement property over the full seeded campaign: whenever
 /// whole-container verification rejects a mutant, no `layer(i)` access
 /// may serve anything but the authentic layer — it errors or it returns
@@ -264,8 +297,9 @@ fn v3_lazy_verify_catches_blob_corruption() {
 }
 
 /// Open validates structure: truncation anywhere in the trailer/footer,
-/// a stomped trailer magic, and de-aligned or overlapping footer spans
-/// are all rejected before any layer access.
+/// a stomped trailer magic, de-aligned footer spans, and records that are
+/// not contiguous from the header to the footer are all rejected before
+/// any layer access — the same framing the full parse rejects.
 #[test]
 fn open_rejects_structural_damage() {
     let v4 = encode_v4();
@@ -303,6 +337,32 @@ fn open_rejects_structural_damage() {
         SeekableContainer::open_slice(&misaligned).is_err(),
         "de-aligned v4 footer span accepted at open"
     );
+
+    // Correctly checksummed containers with one alignment unit of zeros
+    // where the writer never puts any: between the last record and the
+    // footer, and between the header and the first record (which then
+    // starts one unit late). Open and the full parse must both reject.
+    let first_record = spans[0].0;
+    assert_eq!(first_record, 64);
+    for (what, at) in [
+        ("slack before the footer", footer_start),
+        ("first record one unit late", first_record),
+    ] {
+        let gapped = insert_gap(&v4.bytes, at, 64);
+        assert!(
+            verify_container(&CompressedModel {
+                bytes: gapped.clone()
+            })
+            .is_err(),
+            "{what}: whole-container verify accepted"
+        );
+        assert!(
+            SeekableContainer::open_slice(&gapped).is_err(),
+            "{what}: accepted at open"
+        );
+    }
+    // Control: a zero-length gap reproduces the container exactly.
+    assert_eq!(insert_gap(&v4.bytes, footer_start, 0), v4.bytes);
 }
 
 /// Plain functionality: random access decodes out of order and matches

@@ -16,12 +16,16 @@ DSZ_THREADS=4 cargo test -q
 # here is unmistakable in the log.
 cargo test -q -p dsz_core --test fault_injection
 # Random-access + spill gate: the seekable reader's lazy-verify agreement
-# campaign and the disk-spill bit-identity/poisoned-file suites, under
-# both worker budgets (the spill path must be byte-stable regardless of
-# DSZ_THREADS, and the thread_clamp suite's cross-host golden container
-# FNV must hold under both, since chunk geometry ignores worker counts).
+# campaign, the golden containers decoded through every reader
+# (decode_model, the streaming model, the seekable reader) so a reader
+# disagreement fails by name, and the disk-spill bit-identity/poisoned-file
+# suites, under both worker budgets (the spill path must be byte-stable
+# regardless of DSZ_THREADS, and the thread_clamp suite's cross-host
+# golden container FNV must hold under both, since chunk geometry ignores
+# worker counts).
 for t in 1 4; do
   DSZ_THREADS=$t cargo test -q -p dsz_core --test seekable
+  DSZ_THREADS=$t cargo test -q -p dsz_core --test container_golden
   DSZ_THREADS=$t cargo test -q -p dsz_core --test spill_streaming
   DSZ_THREADS=$t cargo test -q -p dsz_core --test thread_clamp
 done
