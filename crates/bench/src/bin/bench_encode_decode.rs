@@ -22,9 +22,9 @@ use dsz_nn::{zoo, Arch, DenseLayer, Layer, Network, Scale};
 use dsz_sparse::PairArray;
 use dsz_sz::{ErrorBound, SzConfig};
 use dsz_tensor::parallel::{clamp_to_host, parallel_map, with_workers, worker_count};
-use dsz_tensor::{Matrix, VolShape};
+use dsz_tensor::{Csr, Matrix, VolShape};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Median wall time (ms) of `runs` calls to `f`.
@@ -291,10 +291,11 @@ fn main() {
     let random_access_layer_ms = median_ms(5, || {
         let _ = seek.layer(mid).expect("random access layer");
     });
-    // Spill rehydration: quota 0 parks the decoded payload on disk, so
-    // every fetch is a read + FNV verify + f32 reassembly — the cost a
-    // repeat forward pays instead of a container re-decode.
-    let spill_payload = seek.layer(mid).expect("mid layer").dense;
+    // Spill rehydration: quota 0 parks the decoded sparse payload on
+    // disk, so every fetch is a read + FNV verify + CSR reassembly — the
+    // cost a repeat forward pays instead of a container re-decode.
+    let mid_layer = seek.layer(mid).expect("mid layer");
+    let spill_payload = Csr::from_dense(&mid_layer.dense, mid_layer.rows, mid_layer.cols);
     let spill_dir = std::env::temp_dir().join(format!("dsz-bench-spill-{}", std::process::id()));
     let spill = SpillCache::new(&spill_dir, 0).expect("spill cache");
     let mut spill_times: Vec<f64> = (0..9)
@@ -304,7 +305,7 @@ fn main() {
                 .expect("spill store");
             let t0 = Instant::now();
             let got = spill.fetch(mid).expect("spill fetch").expect("parked");
-            assert_eq!(got.len(), spill_payload.len());
+            assert_eq!(got, spill_payload);
             t0.elapsed().as_secs_f64() * 1e3
         })
         .collect();
@@ -320,7 +321,7 @@ fn main() {
     let cache_handle = shared_cache.handle();
     let layer_fetch = |i: usize| {
         cache_handle
-            .get_or_decode(i, i as u64, || seek.layer(i).map(|d| d.dense))
+            .get_or_decode(i, i as u64, || seek.layer(i).map(|d| Arc::new(d.dense)))
             .expect("layer decode")
     };
     let t0 = Instant::now();
@@ -335,14 +336,14 @@ fn main() {
     });
     let cache_hit_rate = shared_cache.stats().hit_rate();
     println!(
-        "random access: seek open {:.3} µs, layer {}/{} decode {:.3} ms (full decode {:.1} ms); spill rehydrate {:.3} ms for {} weights",
+        "random access: seek open {:.3} µs, layer {}/{} decode {:.3} ms (full decode {:.1} ms); spill rehydrate {:.3} ms for {} nonzeros",
         seek_open_us,
         mid,
         seek.layer_count(),
         random_access_layer_ms,
         rows[0].decode_ms,
         spill_rehydrate_ms,
-        spill_payload.len()
+        spill_payload.nnz()
     );
     println!(
         "shared layer cache: cold stack pass {:.3} ms, hot pass {:.3} µs, hit rate {:.3}",

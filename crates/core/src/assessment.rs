@@ -24,9 +24,11 @@
 //!   [`AccuracyEvaluator::dataset`]): activations upstream of the mutated
 //!   layer never change between tests, so they are cached once
 //!   ([`crate::evaluator::IncrementalEvaluator`]) and each point replays
-//!   only the suffix — with the decoded values, the reconstructed dense
-//!   matrix, and every activation living in per-worker scratch arenas
-//!   that are reused across all points of a layer. Within a decade walk
+//!   only the suffix — with the decoded values, the candidate layer in
+//!   CSR form (built straight from the layer's gap stream, multiplied by
+//!   the sparse kernel with the dense kernel's bits), and every
+//!   activation living in per-worker scratch arenas that are reused
+//!   across all points of a layer. Within a decade walk
 //!   the sampled bounds are known before their outcomes, so batches of
 //!   points run concurrently on [`dsz_tensor::pool`] (results past a stop
 //!   condition are discarded speculation); together with the per-layer
@@ -45,10 +47,11 @@ use crate::codec::{DataCodec, DataCodecKind};
 use crate::evaluator::{AccuracyEvaluator, IncrementalEvaluator};
 use crate::DeepSzError;
 use dsz_lossless::best_fit;
-use dsz_nn::{DenseLayer, FcLayerRef, Network, SuffixScratch};
-use dsz_sparse::PairArray;
+use dsz_nn::{FcLayerRef, Network, SuffixScratch};
+use dsz_sparse::{Csr, PairArray};
 use dsz_sz::{ErrorBound, SzConfig};
 use dsz_tensor::parallel::{parallel_map, worker_count};
+use dsz_tensor::WeightView;
 use std::sync::Mutex;
 
 /// Assessment parameters (defaults mirror §3.3/§5.1).
@@ -225,31 +228,21 @@ impl PointEngine for FullEngine<'_> {
 /// all points of a layer: after the first point of a layer, a test
 /// allocates nothing but codec-internal encode buffers (and scratch
 /// growth when a bigger layer arrives).
+#[derive(Default)]
 struct PointCtx {
-    /// Scratch candidate: a copy of the assessed layer whose weight
-    /// buffer is overwritten in place per point — the arena's one dense
-    /// matrix. The original network is never touched.
-    layer: DenseLayer,
     /// Decode target — the arena's one decode buffer.
     decoded: Vec<f32>,
+    /// The candidate's weights: the layer's gap stream with the decoded
+    /// data, in CSR form. The original network is never touched.
+    weights: Csr,
     /// Suffix activation ping-pong buffers.
     fwd: SuffixScratch,
 }
 
-impl PointCtx {
-    fn new(layer: &DenseLayer) -> Self {
-        Self {
-            layer: layer.clone(),
-            decoded: Vec::new(),
-            fwd: SuffixScratch::default(),
-        }
-    }
-}
-
-/// Incremental engine: decode into scratch, rebuild the dense matrix in
-/// the scratch candidate's weight buffer, score via the cached-prefix
-/// suffix pass. Batches fan out over [`dsz_tensor::pool`] with one
-/// scratch context per concurrent job.
+/// Incremental engine: decode into scratch, build the candidate's CSR
+/// from the layer's gap stream and the decoded data, score via the
+/// cached-prefix suffix pass. Batches fan out over [`dsz_tensor::pool`]
+/// with one scratch context per concurrent job.
 struct IncrementalEngine<'x> {
     ie: &'x IncrementalEvaluator<'x>,
     baseline: f64,
@@ -265,11 +258,12 @@ impl IncrementalEngine<'_> {
             crate::codec::compete(self.codecs, &self.pair.data, ErrorBound::Abs(eb))?;
         let data_bytes = blob.len();
         self.codecs[winner].decode_into(&blob, &mut ctx.decoded)?;
-        self.pair
-            .to_dense_with(&ctx.decoded, &mut ctx.layer.w.data)?;
-        let acc = self
-            .ie
-            .evaluate_candidate(self.fc.layer_index, &ctx.layer, &mut ctx.fwd);
+        self.pair.to_csr_with(&ctx.decoded, &mut ctx.weights)?;
+        let acc = self.ie.evaluate_weights(
+            self.fc.layer_index,
+            WeightView::Sparse(&ctx.weights),
+            &mut ctx.fwd,
+        );
         Ok(EbPoint {
             eb,
             degradation: self.baseline - acc,
@@ -470,9 +464,7 @@ fn assess_layer_incremental(
     let codecs: Vec<Box<dyn DataCodec>> =
         cfg.candidates.iter().map(|k| k.instance(&cfg.sz)).collect();
     let width = worker_count();
-    let ctxs: Vec<Mutex<PointCtx>> = (0..width)
-        .map(|_| Mutex::new(PointCtx::new(net.dense(fc.layer_index))))
-        .collect();
+    let ctxs: Vec<Mutex<PointCtx>> = (0..width).map(|_| Mutex::default()).collect();
     let engine = IncrementalEngine {
         ie,
         baseline,

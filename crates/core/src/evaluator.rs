@@ -12,6 +12,7 @@
 //! the engine behind incremental assessment (see `docs/ASSESSMENT.md`).
 
 use dsz_nn::{accuracy, count_topk_hits, Dataset, DenseLayer, Network, PrefixCache, SuffixScratch};
+use dsz_tensor::WeightView;
 
 /// Something that can score a network's top-1 accuracy on the test set.
 pub trait AccuracyEvaluator: Sync {
@@ -80,7 +81,9 @@ impl AccuracyEvaluator for DatasetEvaluator {
 /// caller's scratch growth. Results are bit-identical to evaluating a
 /// mutated clone of the full network, because prefix activations are
 /// byte-equal by construction and the suffix runs the same kernels
-/// ([`dsz_nn::Network::forward_from`]).
+/// ([`dsz_nn::Network::forward_from`]) — or, for a candidate given in CSR
+/// form ([`IncrementalEvaluator::evaluate_weights`]), the sparse kernel
+/// that reproduces the dense one's bits for finite activations.
 pub struct IncrementalEvaluator<'a> {
     net: &'a Network,
     data: &'a Dataset,
@@ -134,6 +137,31 @@ impl<'a> IncrementalEvaluator<'a> {
         candidate: &DenseLayer,
         scratch: &mut SuffixScratch,
     ) -> f64 {
+        let weights = WeightView::Dense(&candidate.w.data);
+        self.evaluate_with(layer_index, candidate, weights, scratch)
+    }
+
+    /// Top-1 accuracy with the dense layer at `layer_index` multiplying
+    /// `weights` instead of its own — the candidate reconstruction as
+    /// assessment builds it, typically in CSR form. Bias and shape are
+    /// the network's.
+    pub fn evaluate_weights(
+        &self,
+        layer_index: usize,
+        weights: WeightView<'_>,
+        scratch: &mut SuffixScratch,
+    ) -> f64 {
+        self.evaluate_with(layer_index, self.net.dense(layer_index), weights, scratch)
+    }
+
+    /// Top-1 accuracy with `layer` multiplying `weights` at `layer_index`.
+    fn evaluate_with(
+        &self,
+        layer_index: usize,
+        layer: &DenseLayer,
+        weights: WeightView<'_>,
+        scratch: &mut SuffixScratch,
+    ) -> f64 {
         if self.data.is_empty() {
             return 0.0;
         }
@@ -141,9 +169,14 @@ impl<'a> IncrementalEvaluator<'a> {
         let mut lo = 0usize;
         for bi in 0..self.cache.batch_count() {
             let (bn, shape, input) = self.cache.batch_input(layer_index, bi);
-            let out =
-                self.net
-                    .forward_from(layer_index, Some(candidate), bn, shape, input, scratch);
+            let out = self.net.forward_from(
+                layer_index,
+                Some((layer, weights)),
+                bn,
+                shape,
+                input,
+                scratch,
+            );
             let feats = self.cache.batch_output(bi).1;
             hits += count_topk_hits(out, feats, self.data.label_slice(lo, lo + bn), 1);
             lo += bn;

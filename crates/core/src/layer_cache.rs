@@ -19,18 +19,22 @@
 //!   model id to new container bytes can never serve the old model's
 //!   weights (the stale key simply stops being looked up and ages out;
 //!   [`SharedLayerCache::purge_model`] drops it eagerly).
-//! * Payloads are `Arc<Vec<f32>>`: a hit is a pointer clone, so any
-//!   number of concurrent requests (micro-batches included) multiply
-//!   against one resident copy. Eviction drops the cache's reference;
-//!   requests mid-flight keep theirs until their matmul retires.
+//! * A [`Payload`] is a layer's weights behind an `Arc`: a hit is a
+//!   pointer clone, so any number of concurrent requests (micro-batches
+//!   included) multiply against one resident copy. Streaming models park
+//!   the sparse form they multiply ([`Payload::Sparse`], a [`Csr`]); a
+//!   dense `Arc<Vec<f32>>` converts into [`Payload::Dense`]. Eviction
+//!   drops the cache's reference; requests mid-flight keep theirs until
+//!   their matmul retires.
 //! * The global quota is enforced by a [`ByteBudget`] ledger at
-//!   *insertion* time: a decoded layer is parked only if its bytes
+//!   *insertion* time, in the bytes the payload holds
+//!   ([`Payload::bytes`]): a decoded layer is parked only if its bytes
 //!   [`try_charge`](ByteBudget::try_charge) under the cap after LRU
 //!   eviction has made room, and a layer larger than the whole quota
 //!   bypasses the cache entirely. The ledger therefore **never exceeds
 //!   the quota** — not even transiently — and its high-water mark proves
 //!   it. (The layer currently executing a matmul is owned by its
-//!   request, not the cache; total live dense bytes are bounded by
+//!   request, not the cache; total live weight bytes are bounded by
 //!   `quota + one executing layer per in-flight request`.)
 //!
 //! Lock discipline: one mutex guards the map; decodes never run under
@@ -45,6 +49,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use dsz_tensor::budget::ByteBudget;
+use dsz_tensor::{Csr, WeightView};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -54,9 +59,48 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// never alias).
 pub type LayerKey = (u64, usize, u64);
 
+/// One cached layer's weights, shared by pointer.
+#[derive(Debug, Clone)]
+pub enum Payload {
+    /// Dense row-major weights.
+    Dense(Arc<Vec<f32>>),
+    /// The pruned layer's nonzeros — what streaming models park.
+    Sparse(Arc<Csr>),
+}
+
+impl Payload {
+    /// Bytes the payload holds resident: what the ledger charges.
+    pub fn bytes(&self) -> usize {
+        match self {
+            Payload::Dense(w) => w.len() * 4,
+            Payload::Sparse(w) => w.size_bytes(),
+        }
+    }
+
+    /// The weights, for a matmul.
+    pub fn view(&self) -> WeightView<'_> {
+        match self {
+            Payload::Dense(w) => WeightView::Dense(w),
+            Payload::Sparse(w) => WeightView::Sparse(w),
+        }
+    }
+}
+
+impl From<Arc<Vec<f32>>> for Payload {
+    fn from(w: Arc<Vec<f32>>) -> Self {
+        Payload::Dense(w)
+    }
+}
+
+impl From<Csr> for Payload {
+    fn from(w: Csr) -> Self {
+        Payload::Sparse(Arc::new(w))
+    }
+}
+
 #[derive(Debug)]
 struct Entry {
-    payload: Arc<Vec<f32>>,
+    payload: Payload,
     bytes: usize,
     /// Logical touch clock; the smallest value is the LRU victim.
     touched: u64,
@@ -150,7 +194,7 @@ impl SharedLayerCache {
         self.budget.cap().unwrap_or(usize::MAX)
     }
 
-    /// Bytes of decoded payloads currently resident (≤ quota).
+    /// Bytes of payloads currently resident (≤ quota).
     pub fn live_bytes(&self) -> usize {
         self.budget.current()
     }
@@ -183,7 +227,7 @@ impl SharedLayerCache {
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
-    pub fn fetch(&self, key: LayerKey) -> Option<Arc<Vec<f32>>> {
+    pub fn fetch(&self, key: LayerKey) -> Option<Payload> {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -191,7 +235,7 @@ impl SharedLayerCache {
             Some(e) => {
                 e.touched = clock;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&e.payload))
+                Some(e.payload.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -201,12 +245,13 @@ impl SharedLayerCache {
     }
 
     /// Parks a decoded payload under `key`, evicting LRU entries until
-    /// its bytes fit under the quota. Returns whether it was cached
-    /// (`false` = bypass: larger than the whole quota, or an insert of
-    /// the same key raced ahead). The ledger is charged *before* the map
-    /// holds the entry and never exceeds the quota.
-    pub fn insert(&self, key: LayerKey, payload: Arc<Vec<f32>>) -> bool {
-        let bytes = payload.len() * 4;
+    /// its [`Payload::bytes`] fit under the quota. Returns whether it was
+    /// cached (`false` = bypass: larger than the whole quota, or an insert
+    /// of the same key raced ahead). The ledger is charged *before* the
+    /// map holds the entry and never exceeds the quota.
+    pub fn insert(&self, key: LayerKey, payload: impl Into<Payload>) -> bool {
+        let payload = payload.into();
+        let bytes = payload.bytes();
         while !self.budget.try_charge(bytes) {
             // Evict the least-recently-touched entry; if there is
             // nothing left to evict the payload simply cannot fit.
@@ -305,18 +350,18 @@ impl CacheHandle {
     /// Looks up `(self.model, layer, record_fnv)`; on a miss runs
     /// `decode`, parks the result (quota permitting), and returns it.
     /// The decode runs outside every cache lock.
-    pub fn get_or_decode<E>(
+    pub fn get_or_decode<P: Into<Payload>, E>(
         &self,
         layer: usize,
         record_fnv: u64,
-        decode: impl FnOnce() -> Result<Vec<f32>, E>,
-    ) -> Result<Arc<Vec<f32>>, E> {
+        decode: impl FnOnce() -> Result<P, E>,
+    ) -> Result<Payload, E> {
         let key = (self.model, layer, record_fnv);
         if let Some(hit) = self.cache.fetch(key) {
             return Ok(hit);
         }
-        let payload = Arc::new(decode()?);
-        self.cache.insert(key, Arc::clone(&payload));
+        let payload = decode()?.into();
+        self.cache.insert(key, payload.clone());
         Ok(payload)
     }
 
@@ -340,7 +385,9 @@ mod tests {
         let h = cache.handle();
         let p = payload(8, 1.5);
         assert!(cache.insert((h.model(), 0, 7), Arc::clone(&p)));
-        let got = cache.fetch((h.model(), 0, 7)).unwrap();
+        let Some(Payload::Dense(got)) = cache.fetch((h.model(), 0, 7)) else {
+            panic!("dense payload expected");
+        };
         assert!(Arc::ptr_eq(&got, &p), "hit must share the allocation");
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().live_bytes, 32);
@@ -380,9 +427,9 @@ mod tests {
         let cache = SharedLayerCache::new(0);
         let h = cache.handle();
         let out = h
-            .get_or_decode(3, 9, || Ok::<_, ()>(vec![1.0f32; 16]))
+            .get_or_decode(3, 9, || Ok::<_, ()>(Arc::new(vec![1.0f32; 16])))
             .unwrap();
-        assert_eq!(out.len(), 16);
+        assert_eq!(out.bytes(), 64);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().high_water, 0);
     }
@@ -410,13 +457,32 @@ mod tests {
             let out = h
                 .get_or_decode(0, 42, || {
                     decodes += 1;
-                    Ok::<_, ()>(vec![2.0f32; 4])
+                    Ok::<_, ()>(Arc::new(vec![2.0f32; 4]))
                 })
                 .unwrap();
-            assert_eq!(*out, vec![2.0f32; 4]);
+            assert!(matches!(out.view(), WeightView::Dense(w) if w == [2.0f32; 4]));
         }
         assert_eq!(decodes, 1, "hot layer decodes once");
         assert_eq!(cache.stats().hits, 2);
+    }
+
+    #[test]
+    fn sparse_payload_charges_its_resident_bytes() {
+        let w = Csr::from_dense(&[0.0, 1.5, 0.0, 0.0, -2.0, 3.0], 2, 3);
+        let bytes = w.size_bytes();
+        assert_eq!(bytes, 3 * 4 + 3 * 4 + 3 * 4);
+        let cache = SharedLayerCache::new(bytes);
+        let h = cache.handle();
+        assert!(cache.insert((h.model(), 0, 1), w.clone()));
+        assert_eq!(cache.stats().live_bytes, bytes);
+        let Some(Payload::Sparse(got)) = cache.fetch((h.model(), 0, 1)) else {
+            panic!("sparse payload expected");
+        };
+        assert_eq!(*got, w);
+        // A second layer of the same size evicts the first.
+        assert!(cache.insert((h.model(), 1, 2), w));
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(cache.stats().high_water <= bytes);
     }
 
     #[test]

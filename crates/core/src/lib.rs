@@ -28,7 +28,8 @@
 //!    64-byte-aligned records) that records the per-layer codec id.
 //!    Decoding reverses the three stages with per-stage timing
 //!    (Fig. 7b); [`seek::SeekableContainer`] random-accesses single
-//!    layers, and [`streaming::CompressedFcModel`] can spill decoded
+//!    layers, and [`streaming::CompressedFcModel`] runs inference
+//!    straight off each layer's decoded sparse form and can spill those
 //!    layers to disk under a memory quota ([`spill`]).
 
 pub mod assessment;
@@ -49,7 +50,7 @@ pub use assessment::{
 pub use codec::{compete, DataCodec, DataCodecKind, SzCodec, ZfpCodec};
 pub use encode_stream::{encode_to_writer, encode_to_writer_config, EncodeStreamConfig};
 pub use evaluator::{cache_features, AccuracyEvaluator, DatasetEvaluator, IncrementalEvaluator};
-pub use layer_cache::{CacheHandle, CacheStats, SharedLayerCache};
+pub use layer_cache::{CacheHandle, CacheStats, Payload, SharedLayerCache};
 pub use linearity::{linearity_experiment, LinearityPoint};
 pub use optimizer::{optimize_for_accuracy, optimize_for_size, ChosenLayer, Plan};
 pub use pipeline::{

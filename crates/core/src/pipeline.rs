@@ -52,7 +52,7 @@ use crate::DeepSzError;
 use dsz_lossless::bits::{read_varint, write_varint};
 use dsz_lossless::{fnv1a, CodecError, Fnv1a, LosslessKind};
 use dsz_nn::Network;
-use dsz_sparse::PairArray;
+use dsz_sparse::{Csr, PairArray};
 use dsz_tensor::parallel::parallel_map;
 use std::ops::Range;
 use std::time::Instant;
@@ -827,17 +827,48 @@ pub fn rewrite_layer_data(
 }
 
 /// Decodes one parsed record through the three stages, returning the layer
-/// plus `(lossless, lossy, reconstruct)` stage times in ms. The data
-/// stage dispatches through the [`crate::codec::DataCodec`] registry on the record's
-/// codec id, so it is uniform across SZ and ZFP layers.
+/// plus `(lossless, lossy, reconstruct)` stage times in ms. The first two
+/// stages are [`decode_pair`]; the third rebuilds the dense matrix.
+pub(crate) fn decode_record(
+    r: &RawLayerRecord<'_>,
+) -> Result<(DecodedLayer, [f64; 3]), DeepSzError> {
+    let (pair, [lossless_ms, lossy_ms]) = decode_pair(r)?;
+    let t = Instant::now();
+    let dense = pair
+        .to_dense()
+        .map_err(|e| corrupt(r.name, "reconstruct", e))?;
+    let reconstruct_ms = t.elapsed().as_secs_f64() * 1e3;
+    Ok((
+        DecodedLayer {
+            name: r.name.to_string(),
+            layer_index: r.layer_index,
+            dense,
+            rows: r.rows,
+            cols: r.cols,
+        },
+        [lossless_ms, lossy_ms, reconstruct_ms],
+    ))
+}
+
+/// Decodes one parsed record into its sparse form: the record's own gap
+/// stream and freshly decoded data, as [`Csr`] — what a streaming forward
+/// multiplies. Stages and errors are [`decode_record`]'s: a gap stream
+/// that cannot be placed fails at stage `"reconstruct"` here too.
+pub(crate) fn decode_record_sparse(r: &RawLayerRecord<'_>) -> Result<Csr, DeepSzError> {
+    let (pair, _) = decode_pair(r)?;
+    pair.to_csr().map_err(|e| corrupt(r.name, "reconstruct", e))
+}
+
+/// The lossless index and lossy data stages of a record: its two-array
+/// sparse form plus `(lossless, lossy)` stage times in ms. The data
+/// stage dispatches through the [`crate::codec::DataCodec`] registry on
+/// the record's codec id, so it is uniform across SZ and ZFP layers.
 ///
 /// Every failure is a [`DeepSzError::Corrupt`] naming the layer and the
 /// stage that rejected it. Declared stream sizes are cross-checked
 /// against the record's dims *before* any decompression runs, so a
 /// mutated length field cannot size an allocation or burn decode time.
-pub(crate) fn decode_record(
-    r: &RawLayerRecord<'_>,
-) -> Result<(DecodedLayer, [f64; 3]), DeepSzError> {
+fn decode_pair(r: &RawLayerRecord<'_>) -> Result<(PairArray, [f64; 2]), DeepSzError> {
     let elems = match r.rows.checked_mul(r.cols) {
         Some(e) if e <= MAX_LAYER_ELEMS => e,
         _ => {
@@ -898,7 +929,6 @@ pub(crate) fn decode_record(
         .map_err(|e| corrupt(r.name, "lossy-data", e))?;
     let lossy_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    let t = Instant::now();
     if data.len() != index.len() {
         return Err(corrupt(
             r.name,
@@ -916,21 +946,7 @@ pub(crate) fn decode_record(
         data,
         index,
     };
-    let dense = pair
-        .to_dense()
-        .map_err(|e| corrupt(r.name, "reconstruct", e))?;
-    let reconstruct_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    Ok((
-        DecodedLayer {
-            name: r.name.to_string(),
-            layer_index: r.layer_index,
-            dense,
-            rows: r.rows,
-            cols: r.cols,
-        },
-        [lossless_ms, lossy_ms, reconstruct_ms],
-    ))
+    Ok((pair, [lossless_ms, lossy_ms]))
 }
 
 /// Decodes a container produced by [`encode_with_plan`].

@@ -1,11 +1,12 @@
-//! Quota-accounted disk spill for decoded dense layers.
+//! Quota-accounted disk spill for decoded sparse layers.
 //!
 //! Streaming inference ([`crate::streaming`]) re-decodes a layer every
 //! forward pass; with a decoded-bytes budget it cannot even keep hot
 //! layers around. [`SpillCache`] completes the larger-than-RAM story:
-//! decoded layers live in an in-memory map bounded by a bytes quota, and
-//! when the quota forces an eviction the dense payload is written to
-//! disk — FNV-stamped — instead of being thrown away. The next access
+//! decoded layers — in the [`Csr`] form the forward pass multiplies —
+//! live in an in-memory map bounded by a bytes quota, and when the quota
+//! forces an eviction the payload is written to disk — FNV-stamped —
+//! instead of being thrown away. The next access
 //! re-loads the spill file (one read + one hash, typically far cheaper
 //! than lossless + lossy decompression + reconstruction) rather than
 //! re-decoding.
@@ -13,16 +14,19 @@
 //! # Integrity
 //!
 //! A spill file is trusted exactly as much as a container record: not at
-//! all. Every file carries a header `"DSPL" | key u64 LE | element count
-//! u64 LE | payload FNV-1a u64 LE` followed by the raw little-endian f32
-//! payload, and is verified on read — a stomped, truncated, or swapped
-//! file surfaces as [`DeepSzError::Corrupt`] with stage `"spill"`, never
-//! as wrong weights (`docs/ROBUSTNESS.md`). Writes go to a temp file and
-//! are renamed into place so a crash mid-spill leaves no plausible file.
+//! all. Every file carries a header `"DSPL" | key u64 LE | value count
+//! u64 LE | body FNV-1a u64 LE` followed by the body `rows u64 LE | cols
+//! u64 LE | row_ptr (rows + 1) × u32 LE | col_idx × u32 LE | values × f32
+//! LE`, and is verified on read — a stomped, truncated, swapped or
+//! malformed file surfaces as [`DeepSzError::Corrupt`] with stage
+//! `"spill"`, never as wrong weights (`docs/ROBUSTNESS.md`). Writes go to
+//! a temp file and are renamed into place so a crash mid-spill leaves no
+//! plausible file.
 //!
 //! # Accounting
 //!
-//! The quota bounds the *cached* live bytes. Callers that are about to
+//! The quota bounds the *cached* live bytes — each payload's
+//! [`Csr::size_bytes`]. Callers that are about to
 //! materialize a layer call [`SpillCache::reserve`] first, so
 //! `executing + cached ≤ quota` holds throughout a forward pass (a
 //! single layer larger than the whole quota still has to materialize
@@ -36,6 +40,7 @@
 use crate::pipeline::{corrupt, read_u64_le};
 use crate::DeepSzError;
 use dsz_lossless::fnv1a;
+use dsz_tensor::Csr;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -43,10 +48,12 @@ use std::sync::Mutex;
 
 const SPILL_MAGIC: &[u8; 4] = b"DSPL";
 const SPILL_HEADER_LEN: usize = 4 + 8 + 8 + 8;
-/// Hard cap on elements accepted from a spill-file header, mirroring the
+/// Hard cap on values accepted from a spill-file header, mirroring the
 /// container's dims cap: a corrupt length field must not size an
 /// allocation.
 const MAX_SPILL_ELEMS: usize = 1 << 28;
+/// Bytes of the body's `rows | cols` prefix.
+const BODY_DIMS_LEN: usize = 16;
 
 /// Counters describing what the cache did (monotonic since creation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,7 +78,7 @@ pub struct SpillStats {
 #[derive(Debug, Default)]
 struct Inner {
     /// Decoded payloads resident in memory, keyed by layer index.
-    live: HashMap<usize, Vec<f32>>,
+    live: HashMap<usize, Csr>,
     /// Keys in recency order, oldest first (entries may be stale; the
     /// `live` map is authoritative).
     lru: VecDeque<usize>,
@@ -81,7 +88,7 @@ struct Inner {
     stats: SpillStats,
 }
 
-/// An LRU cache of decoded dense layers that evicts to FNV-stamped disk
+/// An LRU cache of decoded sparse layers that evicts to FNV-stamped disk
 /// files instead of discarding. See the module docs for the quota
 /// contract.
 #[derive(Debug)]
@@ -132,11 +139,11 @@ impl SpillCache {
     /// with [`store`](Self::store) when done. Returns `Ok(None)` when the
     /// layer was never stored (or its spill file was already consumed),
     /// meaning the caller must decode from the container.
-    pub fn fetch(&self, key: usize) -> Result<Option<Vec<f32>>, DeepSzError> {
+    pub fn fetch(&self, key: usize) -> Result<Option<Csr>, DeepSzError> {
         {
             let mut inner = self.lock();
             if let Some(payload) = inner.live.remove(&key) {
-                inner.live_bytes -= payload.len() * 4;
+                inner.live_bytes -= payload.size_bytes();
                 inner.stats.live_hits += 1;
                 return Ok(Some(payload));
             }
@@ -182,7 +189,7 @@ impl SpillCache {
                     match inner.lru.pop_front() {
                         Some(k) => {
                             if let Some(payload) = inner.live.remove(&k) {
-                                inner.live_bytes -= payload.len() * 4;
+                                inner.live_bytes -= payload.size_bytes();
                                 break Some((k, payload));
                             }
                             // Stale recency entry for a key already taken.
@@ -201,14 +208,14 @@ impl SpillCache {
     /// Parks a decoded payload in the cache under `key`, evicting (to
     /// disk) as needed to respect the quota. A payload larger than the
     /// whole quota bypasses memory and spills straight to disk.
-    pub fn store(&self, key: usize, payload: Vec<f32>) -> Result<(), DeepSzError> {
-        let bytes = payload.len() * 4;
+    pub fn store(&self, key: usize, payload: Csr) -> Result<(), DeepSzError> {
+        let bytes = payload.size_bytes();
         if bytes > self.quota {
             // Drop any stale in-memory copy so a later fetch cannot serve
             // bytes that this store superseded.
             let mut inner = self.lock();
             if let Some(old) = inner.live.remove(&key) {
-                inner.live_bytes -= old.len() * 4;
+                inner.live_bytes -= old.size_bytes();
             }
             drop(inner);
             return self.spill_to_disk(key, payload);
@@ -217,22 +224,27 @@ impl SpillCache {
         let mut inner = self.lock();
         inner.spilled.remove(&key); // memory copy supersedes any old file
         if let Some(old) = inner.live.insert(key, payload) {
-            inner.live_bytes -= old.len() * 4;
+            inner.live_bytes -= old.size_bytes();
         }
         inner.live_bytes += bytes;
         inner.lru.push_back(key);
         Ok(())
     }
 
-    fn spill_to_disk(&self, key: usize, payload: Vec<f32>) -> Result<(), DeepSzError> {
-        let mut bytes = Vec::with_capacity(SPILL_HEADER_LEN + payload.len() * 4);
-        bytes.extend_from_slice(SPILL_MAGIC);
-        bytes.extend_from_slice(&(key as u64).to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let mut body = Vec::with_capacity(payload.len() * 4);
-        for v in &payload {
+    fn spill_to_disk(&self, key: usize, payload: Csr) -> Result<(), DeepSzError> {
+        let mut body = Vec::with_capacity(BODY_DIMS_LEN + payload.size_bytes());
+        body.extend_from_slice(&(payload.rows as u64).to_le_bytes());
+        body.extend_from_slice(&(payload.cols as u64).to_le_bytes());
+        for p in payload.row_ptr.iter().chain(&payload.col_idx) {
+            body.extend_from_slice(&p.to_le_bytes());
+        }
+        for v in &payload.values {
             body.extend_from_slice(&v.to_le_bytes());
         }
+        let mut bytes = Vec::with_capacity(SPILL_HEADER_LEN + body.len());
+        bytes.extend_from_slice(SPILL_MAGIC);
+        bytes.extend_from_slice(&(key as u64).to_le_bytes());
+        bytes.extend_from_slice(&(payload.nnz() as u64).to_le_bytes());
         bytes.extend_from_slice(&fnv1a(&body).to_le_bytes());
         bytes.extend_from_slice(&body);
 
@@ -249,60 +261,86 @@ impl SpillCache {
         Ok(())
     }
 
-    fn read_spill_file(&self, key: usize) -> Result<Vec<f32>, DeepSzError> {
+    fn read_spill_file(&self, key: usize) -> Result<Csr, DeepSzError> {
         let label = format!("<spill {key}>");
+        let bad = |msg: String| corrupt(&label, "spill", msg);
         let path = self.file_for(key);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| corrupt(&label, "spill", format!("read {}: {e}", path.display())))?;
+        let bytes =
+            std::fs::read(&path).map_err(|e| bad(format!("read {}: {e}", path.display())))?;
         if bytes.len() < SPILL_HEADER_LEN || &bytes[..4] != SPILL_MAGIC {
-            return Err(corrupt(&label, "spill", "bad spill file header"));
+            return Err(bad("bad spill file header".into()));
         }
-        let file_key =
-            read_u64_le(&bytes, 4).ok_or_else(|| corrupt(&label, "spill", "truncated"))?;
+        let file_key = read_u64_le(&bytes, 4).ok_or_else(|| bad("truncated".into()))?;
         if file_key != key as u64 {
-            return Err(corrupt(
-                &label,
-                "spill",
-                format!("file stamped for layer {file_key}, expected {key}"),
-            ));
+            return Err(bad(format!(
+                "file stamped for layer {file_key}, expected {key}"
+            )));
         }
-        let elems = read_u64_le(&bytes, 12)
+        let nnz = read_u64_le(&bytes, 12)
             .and_then(|v| usize::try_from(v).ok())
             .filter(|&n| n <= MAX_SPILL_ELEMS)
-            .ok_or_else(|| corrupt(&label, "spill", "element count out of range"))?;
-        let want_fnv =
-            read_u64_le(&bytes, 20).ok_or_else(|| corrupt(&label, "spill", "truncated"))?;
+            .ok_or_else(|| bad("value count out of range".into()))?;
+        let want_fnv = read_u64_le(&bytes, 20).ok_or_else(|| bad("truncated".into()))?;
         let body = &bytes[SPILL_HEADER_LEN..];
-        if body.len() != elems * 4 {
-            return Err(corrupt(
-                &label,
-                "spill",
-                format!(
-                    "payload is {} bytes, header declares {}",
-                    body.len(),
-                    elems * 4
-                ),
-            ));
-        }
         if fnv1a(body) != want_fnv {
-            return Err(corrupt(&label, "spill", "payload fnv mismatch"));
+            return Err(bad("payload fnv mismatch".into()));
         }
-        let mut payload = Vec::with_capacity(elems);
-        for chunk in body.chunks_exact(4) {
-            let b: [u8; 4] = match chunk.try_into() {
-                Ok(b) => b,
-                Err(_) => return Err(corrupt(&label, "spill", "truncated payload")),
-            };
-            payload.push(f32::from_le_bytes(b));
+        let dim = |at: usize| read_u64_le(body, at).and_then(|v| usize::try_from(v).ok());
+        let (rows, cols) = dim(0)
+            .zip(dim(8))
+            .filter(|&(rows, _)| rows <= MAX_SPILL_ELEMS)
+            .ok_or_else(|| bad("dims out of range".into()))?;
+        let want_len = BODY_DIMS_LEN + (rows + 1) * 4 + nnz * 8;
+        if body.len() != want_len {
+            return Err(bad(format!(
+                "body is {} bytes, header declares {want_len}",
+                body.len()
+            )));
+        }
+        let (ptr_bytes, rest) = body[BODY_DIMS_LEN..].split_at((rows + 1) * 4);
+        let (col_bytes, value_bytes) = rest.split_at(nnz * 4);
+        let row_ptr = le_words(ptr_bytes).map(u32::from_le_bytes).collect();
+        let col_idx = le_words(col_bytes).map(u32::from_le_bytes).collect();
+        let values = le_words(value_bytes).map(f32::from_le_bytes).collect();
+        let payload = Csr {
+            rows,
+            cols,
+            values,
+            col_idx,
+            row_ptr,
+        };
+        if !payload.is_well_formed() {
+            return Err(bad("malformed sparse payload".into()));
         }
         Ok(payload)
     }
+}
+
+/// The 4-byte little-endian words of `b` (a whole number of them).
+fn le_words(b: &[u8]) -> impl Iterator<Item = [u8; 4]> + '_ {
+    b.chunks_exact(4).map(|c| [c[0], c[1], c[2], c[3]])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A one-row sparse payload of `n` stored values.
+    fn payload(values: Vec<f32>) -> Csr {
+        let n = values.len();
+        Csr {
+            rows: 1,
+            cols: n,
+            values,
+            col_idx: (0..n as u32).collect(),
+            row_ptr: vec![0, n as u32],
+        }
+    }
+
+    fn bits(p: &Csr) -> Vec<u32> {
+        p.values.iter().map(|v| v.to_bits()).collect()
+    }
 
     fn test_dir(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -317,9 +355,9 @@ mod tests {
     fn store_fetch_roundtrips_in_memory() {
         let dir = test_dir("mem");
         let cache = SpillCache::new(&dir, 1 << 20).unwrap();
-        let payload = vec![1.0f32, -2.5, 3.25];
+        let payload = payload(vec![1.0f32, -2.5, 3.25]);
         cache.store(7, payload.clone()).unwrap();
-        assert_eq!(cache.live_bytes(), 12);
+        assert_eq!(cache.live_bytes(), payload.size_bytes());
         assert_eq!(cache.fetch(7).unwrap().unwrap(), payload);
         assert_eq!(cache.live_bytes(), 0, "fetch transfers ownership");
         assert_eq!(cache.stats().live_hits, 1);
@@ -330,18 +368,20 @@ mod tests {
     #[test]
     fn quota_forces_spill_and_rehydrate_is_bit_identical() {
         let dir = test_dir("evict");
+        let a = payload(vec![0.1, 0.2, 0.3, 0.4]);
+        let b = payload(vec![9.0, 8.0, 7.0, 6.0]);
         // Quota fits exactly one 4-element payload.
-        let cache = SpillCache::new(&dir, 16).unwrap();
-        let a: Vec<f32> = vec![0.1, 0.2, 0.3, 0.4];
-        let b: Vec<f32> = vec![9.0, 8.0, 7.0, 6.0];
+        let quota = a.size_bytes();
+        let cache = SpillCache::new(&dir, quota).unwrap();
         cache.store(0, a.clone()).unwrap();
         cache.store(1, b.clone()).unwrap(); // evicts 0 to disk
-        assert!(cache.live_bytes() <= 16);
+        assert!(cache.live_bytes() <= quota);
         assert_eq!(cache.stats().spills, 1);
         let back = cache.fetch(0).unwrap().unwrap();
+        assert_eq!(back, a, "rehydrated payload keeps its structure");
         assert_eq!(
-            back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            bits(&back),
+            bits(&a),
             "rehydrated payload must be bit-identical"
         );
         assert_eq!(cache.stats().rehydrates, 1);
@@ -352,7 +392,7 @@ mod tests {
     fn oversized_payload_spills_straight_to_disk() {
         let dir = test_dir("oversize");
         let cache = SpillCache::new(&dir, 8).unwrap();
-        let big: Vec<f32> = (0..64).map(|i| i as f32).collect();
+        let big = payload((0..64).map(|i| i as f32).collect());
         cache.store(3, big.clone()).unwrap();
         assert_eq!(
             cache.live_bytes(),
@@ -368,7 +408,7 @@ mod tests {
         let dir = test_dir("poison");
         let cache = SpillCache::new(&dir, 8).unwrap();
         cache
-            .store(5, (0..32).map(|i| i as f32 * 0.5).collect())
+            .store(5, payload((0..32).map(|i| i as f32 * 0.5).collect()))
             .unwrap();
         let path = dir.join("layer-5.dspill");
         let mut bytes = std::fs::read(&path).unwrap();
@@ -389,7 +429,7 @@ mod tests {
         let dir = test_dir("heal");
         let cache = SpillCache::new(&dir, 8).unwrap();
         cache
-            .store(5, (0..32).map(|i| i as f32 * 0.5).collect())
+            .store(5, payload((0..32).map(|i| i as f32 * 0.5).collect()))
             .unwrap();
         let path = dir.join("layer-5.dspill");
         let mut bytes = std::fs::read(&path).unwrap();
@@ -409,8 +449,8 @@ mod tests {
     fn spill_file_for_wrong_layer_is_rejected() {
         let dir = test_dir("swap");
         let cache = SpillCache::new(&dir, 0).unwrap();
-        cache.store(1, vec![1.0f32; 8]).unwrap();
-        cache.store(2, vec![2.0f32; 8]).unwrap();
+        cache.store(1, payload(vec![1.0f32; 8])).unwrap();
+        cache.store(2, payload(vec![2.0f32; 8])).unwrap();
         // Swap the files on disk: each now vouches for the other's key.
         let p1 = dir.join("layer-1.dspill");
         let p2 = dir.join("layer-2.dspill");
@@ -430,17 +470,21 @@ mod tests {
     #[test]
     fn reserve_keeps_headroom_under_quota() {
         let dir = test_dir("reserve");
-        let cache = SpillCache::new(&dir, 64).unwrap();
+        let each = payload(vec![0.0; 4]).size_bytes();
+        let cache = SpillCache::new(&dir, 4 * each).unwrap();
         for k in 0..4 {
-            cache.store(k, vec![k as f32; 4]).unwrap(); // 16 bytes each
+            cache.store(k, payload(vec![k as f32; 4])).unwrap();
         }
-        assert_eq!(cache.live_bytes(), 64);
-        cache.reserve(32).unwrap();
-        assert!(cache.live_bytes() + 32 <= 64, "reserve must make room");
+        assert_eq!(cache.live_bytes(), 4 * each);
+        cache.reserve(2 * each).unwrap();
+        assert!(
+            cache.live_bytes() + 2 * each <= 4 * each,
+            "reserve must make room"
+        );
         assert!(cache.stats().spills >= 2);
         // Everything evicted is still reachable.
         for k in 0..4 {
-            assert_eq!(cache.fetch(k).unwrap().unwrap(), vec![k as f32; 4]);
+            assert_eq!(cache.fetch(k).unwrap().unwrap(), payload(vec![k as f32; 4]));
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -450,12 +494,31 @@ mod tests {
         let dir = test_dir("zero");
         let cache = SpillCache::new(&dir, 0).unwrap();
         for k in 0..3 {
-            cache.store(k, vec![k as f32 + 0.5; 16]).unwrap();
+            cache.store(k, payload(vec![k as f32 + 0.5; 16])).unwrap();
         }
         assert_eq!(cache.live_bytes(), 0);
         assert_eq!(cache.stats().spills, 3);
         for k in 0..3 {
-            assert_eq!(cache.fetch(k).unwrap().unwrap(), vec![k as f32 + 0.5; 16]);
+            assert_eq!(
+                cache.fetch(k).unwrap().unwrap(),
+                payload(vec![k as f32 + 0.5; 16])
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checksummed_but_malformed_payload_is_rejected() {
+        // A file whose FNV matches but whose CSR arrays are inconsistent
+        // (a column past `cols`) must never reach the kernel.
+        let dir = test_dir("malformed");
+        let cache = SpillCache::new(&dir, 0).unwrap();
+        let mut bad = payload(vec![1.0, 2.0]);
+        bad.col_idx[1] = 9;
+        cache.store(4, bad).unwrap();
+        match cache.fetch(4).unwrap_err() {
+            DeepSzError::Corrupt { stage, .. } => assert_eq!(stage, "spill"),
+            other => panic!("expected Corrupt at spill stage, got {other}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -3,33 +3,42 @@
 //! utilization").
 //!
 //! Instead of decoding every fc layer up front, [`CompressedFcModel`] keeps
-//! the container bytes resident and materializes dense layers during the
-//! forward pass, dropping each as soon as its matmul is done. Peak weight
-//! memory becomes `max(layer)` instead of `sum(layers)` — for VGG-16's fc
-//! stack that is a 411 MB high-water mark instead of 494 MB, and with the
-//! compressed container as the only persistent copy, resident model state
-//! shrinks by the full compression ratio.
+//! the container bytes resident and decodes each fc layer during the
+//! forward pass into the sparse form DeepSZ stores it in (§3.2): the gap
+//! stream and the decoded data become a [`Csr`] directly, the matmul runs
+//! on its nonzeros ([`dsz_tensor::matmul_transb_csr`]), and the layer is
+//! dropped as soon as that matmul is done. No dense fc matrix is ever
+//! built. Peak weight memory becomes `max(layer)` in sparse bytes —
+//! 8 bytes per nonzero plus 4 per row — instead of `sum(layers)` in dense
+//! bytes: for VGG-16's fc stack at `Arch::Vgg16`'s pruning densities (3%,
+//! 4%, 24%) that is about 25 MB (fc6's sparse form) where decoding every
+//! layer dense holds 494 MB (411 MB for fc6 alone), and with the
+//! compressed container as the only persistent copy, resident model
+//! state shrinks by the full compression ratio. For every finite input
+//! the outputs are the bits the dense layers would give
+//! (`docs/PARALLEL.md`).
 //!
 //! Construction runs the same full parse as
 //! [`verify_container`](crate::verify_container) — framing, every
 //! checksum, one record per layer index — and then keeps the container
 //! bytes once (an `Arc<[u8]>` shared by clones). Each fc layer is only
-//! its record's span plus the layer index, dense size and shared-cache
-//! key; a decode re-parses the record from that span with the record
-//! parser [`decode_model`] uses and runs the same three-stage decode, so
-//! no blob is copied and both paths read the same bytes the same way.
+//! its record's span plus the layer index, weight-bytes bound and
+//! shared-cache key; a decode re-parses the record from that span with
+//! the record parser [`decode_model`] uses and runs the same lossless and
+//! lossy stages, so no blob is copied and both paths read the same bytes
+//! the same way; only the last stage differs (CSR instead of dense).
 //!
 //! # One forward loop, four weight sources
 //!
 //! Every forward runs the same loop over the network's layers. Per fc
 //! layer it checks the abort probe, probes the [`ForwardHook`], takes the
-//! layer's dense weights from a *weight source*, records
-//! [`StreamingStats::peak_dense_bytes`] as the layer's dense bytes plus
-//! whatever the source holds resident, runs the matmul, and hands the
+//! layer's sparse weights from a *weight source*, records
+//! [`StreamingStats::peak_weight_bytes`] as the layer's resident bytes
+//! plus whatever the source holds resident, runs the matmul, and hands the
 //! weights back to the source. The model's configuration picks the source,
 //! first match wins:
 //!
-//! | Source | Chosen when | Weights come from | Peak dense bytes |
+//! | Source | Chosen when | Weights come from | Peak weight bytes |
 //! |---|---|---|---|
 //! | shared cache | [`CompressedFcModel::with_shared_cache`] | cache hit, else spill fetch (if attached), else decode | `quota + executing layer` |
 //! | spill | [`CompressedFcModel::with_spill_dir`] | spill fetch, else decode; parked back after the matmul | `quota + executing layer` |
@@ -47,12 +56,14 @@
 //!   be decoding/decoded beyond the executing one (default 1; deep fc
 //!   stacks hide more latency at depth ≥ 2). Depth 0 selects the inline
 //!   decode source and its strict `max(layer)` bound.
-//! * [`CompressedFcModel::with_decoded_bytes_budget`] — a cap on the dense
-//!   bytes live at once (executing layer + every in-flight prefetch). A
-//!   prefetch that would exceed the cap is simply not scheduled; the layer
-//!   decodes inline when its turn comes, so the cap is never violated by
-//!   prefetching (a single layer larger than the cap still has to
-//!   materialize alone to execute).
+//! * [`CompressedFcModel::with_decoded_bytes_budget`] — a cap on the
+//!   weight bytes live at once (executing layer + every in-flight
+//!   prefetch). An in-flight decode is counted at its record's bound,
+//!   8 bytes per stored entry plus 4 per row, which is exact unless the
+//!   gap stream holds padding markers. A prefetch that would exceed the
+//!   cap is simply not scheduled; the layer decodes inline when its turn
+//!   comes, so the cap is never violated by prefetching (a single layer
+//!   larger than the cap still has to materialize alone to execute).
 //!
 //! Decode tasks run on the persistent worker pool
 //! ([`dsz_tensor::pool::scope`]); joining a task that no pool worker picked
@@ -63,15 +74,16 @@
 // input must come back as an `Err`, never a panic (`docs/ROBUSTNESS.md`).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::layer_cache::CacheHandle;
+use crate::layer_cache::{CacheHandle, Payload};
 use crate::pipeline::{
-    decode_model, decode_record, parse_one_record, parse_records, CompressedModel, DecodedLayer,
+    decode_model, decode_record, decode_record_sparse, parse_one_record, parse_records,
+    CompressedModel, DecodedLayer,
 };
 use crate::spill::{SpillCache, SpillStats};
 use crate::DeepSzError;
 use dsz_lossless::Fnv1a;
 use dsz_nn::{dense_forward_with_weights, Batch, Layer, Network};
-use dsz_tensor::pool;
+use dsz_tensor::{pool, Csr, WeightView};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::path::Path;
@@ -129,15 +141,18 @@ pub enum DecodePolicy {
 struct CompressedLayer {
     span: Range<usize>,
     layer_index: usize,
-    dense_bytes: usize,
+    /// Resident bytes of the decoded sparse form, at most: 8 per stored
+    /// entry the index stream declares (padding markers included, though
+    /// they store nothing) plus 4 per row pointer.
+    weight_bytes: usize,
     /// FNV-1a over `layer_index ‖ data_blob ‖ idx_blob` — the
     /// content-addressed part of this layer's shared-cache key, computed
     /// once at construction (`crate::layer_cache`).
     record_fnv: u64,
 }
 
-/// A network whose fc weights live in DeepSZ-compressed form; dense
-/// weights are materialized per layer only while that layer executes.
+/// A network whose fc weights live in DeepSZ-compressed form; each fc
+/// layer's sparse weights are decoded only while that layer executes.
 #[derive(Debug, Clone)]
 pub struct CompressedFcModel {
     /// The non-fc skeleton (fc layers carry empty weight buffers).
@@ -154,7 +169,7 @@ pub struct CompressedFcModel {
     slots: Vec<Option<usize>>,
     /// Layers ahead of the executing one that may be decoding/decoded.
     prefetch_depth: usize,
-    /// Cap on live dense bytes (executing + in-flight prefetches).
+    /// Cap on live weight bytes (executing + in-flight prefetches).
     decoded_bytes_budget: Option<usize>,
     /// What to do when a layer fails to decode.
     decode_policy: DecodePolicy,
@@ -170,15 +185,17 @@ pub struct CompressedFcModel {
     hook: Option<Arc<dyn ForwardHook>>,
 }
 
-/// Memory accounting from a streaming forward pass.
+/// Memory accounting from a streaming forward pass, in the bytes the fc
+/// weights hold resident in their sparse form ([`Csr::size_bytes`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamingStats {
-    /// Peak bytes of dense fc weights resident at any instant: the
-    /// executing layer plus what the weight source holds (in-flight
-    /// prefetch decodes, or the spill/shared cache's parked layers).
-    pub peak_dense_bytes: usize,
-    /// Sum of dense fc weights (what eager decoding would hold).
-    pub total_dense_bytes: usize,
+    /// Peak bytes of fc weights resident at any instant: the executing
+    /// layer plus what the weight source holds (in-flight prefetch
+    /// decodes at their bound, or the spill/shared cache's parked layers).
+    pub peak_weight_bytes: usize,
+    /// Sum of every fc layer's weight bytes (what holding all decoded
+    /// layers at once would take).
+    pub total_weight_bytes: usize,
     /// Persistent compressed bytes: the container the model holds.
     pub compressed_bytes: usize,
 }
@@ -220,10 +237,15 @@ impl CompressedFcModel {
             let mut fnv = Fnv1a::with_tag(r.layer_index as u64);
             fnv.update(r.data_blob);
             fnv.update(r.idx_blob);
+            // An unreadable index header fails the decode before anything
+            // is resident.
+            let entries = r.codec.codec().declared_len(r.idx_blob).unwrap_or(0);
             layers.push(CompressedLayer {
                 span,
                 layer_index: r.layer_index,
-                dense_bytes: r.rows * r.cols * 4,
+                weight_bytes: entries
+                    .saturating_mul(8)
+                    .saturating_add(r.rows.saturating_add(1).saturating_mul(4)),
                 record_fnv: fnv.finish(),
             });
         }
@@ -257,16 +279,17 @@ impl CompressedFcModel {
 
     /// Sets how many fc layers ahead of the executing one may be
     /// decoding/decoded concurrently. Depth 0 decodes inline (strict
-    /// `max(layer)` dense peak); depth `d ≥ 1` holds at most the executing
+    /// `max(layer)` peak); depth `d ≥ 1` holds at most the executing
     /// layer plus `d` prefetches, subject to the decoded-bytes budget.
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth;
         self
     }
 
-    /// Caps the dense bytes live at once (executing layer + in-flight
-    /// prefetches). `None` removes the cap. Prefetches that would exceed
-    /// the cap wait; execution itself is never blocked.
+    /// Caps the weight bytes live at once (executing layer + in-flight
+    /// prefetches, the latter at their bound). `None` removes the cap.
+    /// Prefetches that would exceed the cap wait; execution itself is
+    /// never blocked.
     pub fn with_decoded_bytes_budget(mut self, bytes: Option<usize>) -> Self {
         self.decoded_bytes_budget = bytes;
         self
@@ -282,7 +305,7 @@ impl CompressedFcModel {
     /// to `bytes_quota` bytes, evicted layers are written FNV-stamped into
     /// `dir` and re-loaded instead of re-decoded on the next use
     /// ([`crate::spill`]). Forward passes take weights from the cache
-    /// instead of prefetching — the cache itself bounds live dense bytes
+    /// instead of prefetching — the cache itself bounds live weight bytes
     /// at `quota + executing layer`, which is the point — and stay
     /// bit-identical to the in-RAM path
     /// (spill files round-trip exact f32 bits). Typically paired with a
@@ -304,7 +327,7 @@ impl CompressedFcModel {
     /// Attaches a handle into a process-wide
     /// [`SharedLayerCache`](crate::layer_cache::SharedLayerCache):
     /// forwards take weights from the cache instead of prefetching, and
-    /// each fc layer's decoded weights are looked up under
+    /// each fc layer's decoded sparse weights are looked up under
     /// `(model, layer, record_fnv)` — hot layers decode **once across
     /// every model and request** sharing the cache, cold layers fall back
     /// to the spill cache (when attached) and then to a container decode.
@@ -356,14 +379,14 @@ impl CompressedFcModel {
             if c.layer_index == failed_layer_index {
                 continue;
             }
-            if let Err(e) = self.decode(c) {
+            if let Err(e) = self.decode_sparse(c) {
                 errs.push(e);
             }
         }
         DeepSzError::BadLayers(errs)
     }
 
-    /// Forward pass, materializing fc layers on demand. Returns the output
+    /// Forward pass, decoding fc layers on demand. Returns the output
     /// batch and the memory accounting.
     pub fn forward(&self, x: &Batch) -> Result<(Batch, StreamingStats), DeepSzError> {
         self.forward_inner(x, None)
@@ -394,7 +417,7 @@ impl CompressedFcModel {
             return self.run(x, abort, WeightSource::Shared { handle, spill });
         }
         if let Some(cache) = spill {
-            // The cache, not prefetch, is what bounds live dense bytes.
+            // The cache, not prefetch, is what bounds live weight bytes.
             return self.run(x, abort, WeightSource::Spill(cache));
         }
         let budget = dsz_tensor::parallel::worker_count();
@@ -428,12 +451,12 @@ impl CompressedFcModel {
                 (Layer::Dense(d), &Some(k)) => {
                     self.probe_hook(i)?;
                     let weights = source.acquire(self, &self.layers[k])?;
-                    let dense_bytes = weights.len() * 4;
-                    stats.peak_dense_bytes = stats
-                        .peak_dense_bytes
-                        .max(dense_bytes + source.resident_bytes());
-                    stats.total_dense_bytes += dense_bytes;
-                    let next = source.compute(|| dense_forward_with_weights(d, &weights, &cur));
+                    let bytes = weights.bytes();
+                    stats.peak_weight_bytes =
+                        stats.peak_weight_bytes.max(bytes + source.resident_bytes());
+                    stats.total_weight_bytes += bytes;
+                    let next =
+                        source.compute(|| dense_forward_with_weights(d, weights.view(), &cur));
                     source.release(i, weights)?;
                     next
                 }
@@ -450,19 +473,29 @@ impl CompressedFcModel {
         decode_record(&record).map(|(layer, _)| layer)
     }
 
-    /// Decodes `c` inline, routing a failure through the decode policy.
-    fn decode_inline(&self, c: &CompressedLayer) -> Result<Vec<f32>, DeepSzError> {
-        self.decode(c)
-            .map(|decoded| decoded.dense)
+    /// Parses record `c` and decodes it into the sparse form the forward
+    /// loop multiplies.
+    fn decode_sparse(&self, c: &CompressedLayer) -> Result<Csr, DeepSzError> {
+        let record = parse_one_record(&self.container[c.span.clone()], &mut 0, self.version)?;
+        decode_record_sparse(&record)
+    }
+
+    /// Decodes `c`'s sparse form inline, routing a failure through the
+    /// decode policy.
+    fn decode_inline(&self, c: &CompressedLayer) -> Result<Csr, DeepSzError> {
+        self.decode_sparse(c)
             .map_err(|e| self.decode_failure(c.layer_index, e))
     }
 
-    /// Eagerly decodes everything into a plain [`Network`] (the
-    /// conventional decode path, for comparison).
+    /// Eagerly decodes everything into a plain [`Network`] with dense
+    /// weights (the conventional decode path, for comparison).
     pub fn materialize(&self) -> Result<Network, DeepSzError> {
         let mut net = self.skeleton.clone();
         for c in &self.layers {
-            let dense = self.decode_inline(c)?;
+            let dense = self
+                .decode(c)
+                .map_err(|e| self.decode_failure(c.layer_index, e))?
+                .dense;
             let Layer::Dense(d) = &mut net.layers[c.layer_index] else {
                 unreachable!("validated at construction")
             };
@@ -472,20 +505,26 @@ impl CompressedFcModel {
     }
 }
 
-/// One executing fc layer's dense weights: owned by this pass, or a
+/// One executing fc layer's weights: owned by this pass, or a
 /// shared-cache entry other requests may be multiplying against too.
 enum Weights {
-    Owned(Vec<f32>),
-    Shared(Arc<Vec<f32>>),
+    Owned(Csr),
+    Shared(Payload),
 }
 
-impl std::ops::Deref for Weights {
-    type Target = [f32];
-
-    fn deref(&self) -> &[f32] {
+impl Weights {
+    fn view(&self) -> WeightView<'_> {
         match self {
-            Weights::Owned(w) => w,
-            Weights::Shared(w) => w,
+            Weights::Owned(w) => WeightView::Sparse(w),
+            Weights::Shared(w) => w.view(),
+        }
+    }
+
+    /// Bytes the weights hold resident.
+    fn bytes(&self) -> usize {
+        match self {
+            Weights::Owned(w) => w.size_bytes(),
+            Weights::Shared(w) => w.bytes(),
         }
     }
 }
@@ -512,7 +551,7 @@ enum WeightSource<'m, 's> {
 }
 
 impl WeightSource<'_, '_> {
-    /// The dense weights of the fc layer stored as record `c`.
+    /// The weights of the fc layer stored as record `c`.
     fn acquire(
         &mut self,
         model: &CompressedFcModel,
@@ -524,7 +563,7 @@ impl WeightSource<'_, '_> {
             WeightSource::Spill(cache) => {
                 // Make room for this layer before it materializes, so
                 // cached + executing never exceeds quota + one layer.
-                cache.reserve(c.dense_bytes)?;
+                cache.reserve(c.weight_bytes)?;
                 match cache.fetch(i)? {
                     Some(parked) => Ok(Weights::Owned(parked)),
                     None => model.decode_inline(c).map(Weights::Owned),
@@ -546,7 +585,7 @@ impl WeightSource<'_, '_> {
         }
     }
 
-    /// Dense bytes the source holds besides the executing layer.
+    /// Weight bytes the source holds besides the executing layer.
     fn resident_bytes(&self) -> usize {
         match self {
             WeightSource::Decode => 0,
@@ -580,13 +619,9 @@ impl WeightSource<'_, '_> {
     }
 }
 
-/// In-flight prefetch decode: (skeleton layer index, decode task, dense
-/// bytes it will produce).
-type Pending<'s> = (
-    usize,
-    pool::TaskHandle<'s, Result<DecodedLayer, DeepSzError>>,
-    usize,
-);
+/// In-flight prefetch decode: (skeleton layer index, decode task, bound
+/// on the weight bytes it will produce).
+type Pending<'s> = (usize, pool::TaskHandle<'s, Result<Csr, DeepSzError>>, usize);
 
 /// The prefetch source's decode queue. Decode tasks run concurrently with
 /// the matmul thread, so the caller's worker budget is split between the
@@ -638,21 +673,21 @@ impl<'m, 's> Prefetch<'m, 's> {
     }
 
     /// Schedules decodes while depth and the bytes budget allow, given
-    /// the dense bytes currently held by execution.
+    /// the weight bytes currently held by execution.
     fn schedule(&mut self, executing_bytes: usize) {
         while self.pending.len() < self.depth {
             let Some(&c) = self.unscheduled.front() else {
                 break;
             };
-            let bytes = c.dense_bytes;
+            let bytes = c.weight_bytes;
             if executing_bytes + self.pending_bytes + bytes > self.bytes_budget {
                 break;
             }
             self.unscheduled.pop_front();
             let (model, per_decode) = (self.model, self.per_decode_budget);
-            let task = self
-                .scope
-                .spawn(move || dsz_tensor::parallel::with_workers(per_decode, || model.decode(c)));
+            let task = self.scope.spawn(move || {
+                dsz_tensor::parallel::with_workers(per_decode, || model.decode_sparse(c))
+            });
             self.pending.push_back((c.layer_index, task, bytes));
             self.pending_bytes += bytes;
         }
@@ -661,16 +696,15 @@ impl<'m, 's> Prefetch<'m, 's> {
     /// Record `c`'s weights: the queued decode when one is in flight, an
     /// inline decode when the bytes budget kept it from being scheduled.
     /// Tops the queue back up once the executing layer's size is known.
-    fn acquire(&mut self, c: &CompressedLayer) -> Result<Vec<f32>, DeepSzError> {
+    fn acquire(&mut self, c: &CompressedLayer) -> Result<Csr, DeepSzError> {
         let queued = match self.pending.front() {
             Some(&(i, _, _)) if i == c.layer_index => self.pending.pop_front(),
             _ => None,
         };
-        let dense = match queued {
+        let weights = match queued {
             Some((_, task, bytes)) => {
                 self.pending_bytes -= bytes;
                 task.join()
-                    .map(|decoded| decoded.dense)
                     .map_err(|e| self.model.decode_failure(c.layer_index, e))?
             }
             None => {
@@ -680,12 +714,13 @@ impl<'m, 's> Prefetch<'m, 's> {
                 self.model.decode_inline(c)?
             }
         };
-        self.schedule(dense.len() * 4);
-        Ok(dense)
+        self.schedule(weights.size_bytes());
+        Ok(weights)
     }
 }
 
-/// Consistency check used by tests: streaming and eager decode agree.
+/// Consistency check used by tests: streaming (sparse) and eager (dense)
+/// decode give the same outputs, which holds for every finite probe.
 pub fn streaming_matches_eager(
     net: &Network,
     model: &CompressedModel,

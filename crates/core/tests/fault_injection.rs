@@ -217,7 +217,7 @@ fn overflowing_footer_varints_are_rejected() {
     let mut overlong = v4.bytes.clone();
     overlong.splice(
         footer_start..footer_start + 1,
-        std::iter::repeat(0xffu8).take(10).chain([0x01]),
+        std::iter::repeat_n(0xffu8, 10).chain([0x01]),
     );
     // Generation 3: seeded sweep rewriting each footer entry's varints.
     let mut seeded = Vec::new();

@@ -194,12 +194,12 @@ fn lazy_verify_agrees_with_whole_container_verify_on_all_mutants() {
         let Ok(seek) = SeekableContainer::open_slice(&mutant) else {
             continue; // rejected at open — trivially sound
         };
-        for i in 0..seek.layer_count().min(authentic.len()) {
+        for (i, want) in authentic.iter().enumerate().take(seek.layer_count()) {
             match seek.layer(i) {
                 Err(_) => {}
                 Ok(l) => {
                     assert!(
-                        layers_equal(&l, &authentic[i]),
+                        layers_equal(&l, want),
                         "seed {seed} ({mutation:?}): layer {i} decoded lazily but differs \
                          from the authentic layer"
                     );
@@ -248,7 +248,7 @@ fn single_record_corruption_is_contained_to_that_layer() {
                 seek.layer(target).is_err(),
                 "flip at record {target}+{rel} was not detected by layer({target})"
             );
-            for other in 0..spans.len() {
+            for (other, want) in authentic.iter().enumerate().take(spans.len()) {
                 if other == target {
                     continue;
                 }
@@ -256,7 +256,7 @@ fn single_record_corruption_is_contained_to_that_layer() {
                     panic!("flip inside record {target} broke layer({other}): {e}")
                 });
                 assert!(
-                    layers_equal(&l, &authentic[other]),
+                    layers_equal(&l, want),
                     "flip inside record {target} changed layer({other})"
                 );
             }

@@ -31,8 +31,9 @@ use dsz_sz::SzConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Two chained fc layers (24×32 then 16×24): dense payloads of 3072 and
-/// 1536 bytes, small enough to sweep quotas around both sizes.
+/// Two chained fc layers (24×32 then 16×24, 35% dense): resident sparse
+/// payloads of about 2.3 KB and 1.2 KB ([`weight_bytes`]), small enough to
+/// sweep quotas around both sizes.
 fn fixture(seed: u64) -> (dsz_nn::Network, CompressedModel) {
     let shapes = [(24usize, 32usize), (16, 24)];
     let ebs = [1e-2f64, 1e-3];
@@ -92,6 +93,20 @@ fn fixture(seed: u64) -> (dsz_nn::Network, CompressedModel) {
     (net, model)
 }
 
+/// Resident bytes of each fc layer's decoded payload, `(larger, smaller)`:
+/// the CSR built from the layer's gap stream, which the container stores
+/// losslessly, so the original layer's CSR has the decoded one's size.
+fn weight_bytes(net: &dsz_nn::Network) -> (usize, usize) {
+    let size = |i: usize| {
+        let w = &net.dense(i).w;
+        let pair = PairArray::from_dense(&w.data, w.rows, w.cols);
+        pair.to_csr().unwrap().size_bytes()
+    };
+    let (fc0, fc1) = (size(0), size(1));
+    assert!(fc0 > fc1, "fc0 is the larger layer");
+    (fc0, fc1)
+}
+
 fn probe(n: usize, seed: u64) -> Batch {
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let data = (0..n * 32)
@@ -119,9 +134,18 @@ fn shared_cache_forward_bit_identical_at_every_quota() {
         .forward(&x)
         .unwrap()
         .0;
-    // 0 = never parks; 1000 < smaller layer; 1536/3072 = exactly one
-    // layer; then room for one, both, and everything.
-    for quota in [0usize, 1000, 1536, 3072, 4000, 4608, 1 << 20] {
+    let (big, small) = weight_bytes(&net);
+    // 0 = never parks; below the smaller layer; exactly the smaller or
+    // the larger layer; then room for one, both, and everything.
+    for quota in [
+        0usize,
+        small - 1,
+        small,
+        big,
+        big + small - 1,
+        big + small,
+        1 << 20,
+    ] {
         let cache = SharedLayerCache::new(quota);
         let streaming = CompressedFcModel::new(&net, &model)
             .unwrap()
@@ -133,7 +157,7 @@ fn shared_cache_forward_bit_identical_at_every_quota() {
                 bits(&reference),
                 "quota {quota} pass {pass} diverged from the uncached serial path"
             );
-            assert!(stats.peak_dense_bytes >= 3072, "executing layer counted");
+            assert!(stats.peak_weight_bytes >= big, "executing layer counted");
         }
         let s = cache.stats();
         assert!(
@@ -145,7 +169,7 @@ fn shared_cache_forward_bit_identical_at_every_quota() {
         if quota == 0 {
             assert_eq!(s.hits, 0, "a zero quota can never hit");
         }
-        if quota >= 4608 {
+        if quota >= big + small {
             // Both layers fit: passes 2 and 3 are pure hits.
             assert_eq!(s.hits, 4, "quota {quota}: expected 4 hits, got {}", s.hits);
             assert_eq!(s.misses, 2);
@@ -157,10 +181,11 @@ fn shared_cache_forward_bit_identical_at_every_quota() {
 fn evicted_then_refetched_layers_decode_bit_identical() {
     let (net, model) = fixture(0x59A);
     let x = probe(2, 0xBEEF);
-    // Quota fits the larger layer alone: every forward parks fc0 (3072 B),
-    // then must evict it to park fc1 (1536 B), so the next pass re-decodes
-    // fc0 — a continuous evict/refetch churn.
-    let cache = SharedLayerCache::new(3072);
+    // Quota fits the larger layer alone: every forward parks fc0, then
+    // must evict it to park fc1, so the next pass re-decodes fc0 — a
+    // continuous evict/refetch churn.
+    let (big, _) = weight_bytes(&net);
+    let cache = SharedLayerCache::new(big);
     let streaming = CompressedFcModel::new(&net, &model)
         .unwrap()
         .with_shared_cache(cache.handle());
@@ -171,7 +196,7 @@ fn evicted_then_refetched_layers_decode_bit_identical() {
     }
     let s = cache.stats();
     assert!(s.evictions > 0, "quota pressure must have evicted");
-    assert!(s.high_water <= 3072);
+    assert!(s.high_water <= big);
 }
 
 #[test]
@@ -207,7 +232,9 @@ fn concurrent_cross_model_stress_respects_quota_and_bits() {
     let (net_a, model_a) = fixture(0x59A);
     let (net_b, model_b) = fixture(0xB0B);
     // Quota just over one large layer: continuous cross-model eviction.
-    let quota = 4000usize;
+    let (big, small) = weight_bytes(&net_a);
+    assert_eq!(weight_bytes(&net_b), (big, small), "same pruned shapes");
+    let quota = big + small / 2;
     let cache = SharedLayerCache::new(quota);
     let shared_a = Arc::new(
         CompressedFcModel::new(&net_a, &model_a)

@@ -30,8 +30,9 @@ fn test_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// Two chained fc layers (24×32 then 16×24): dense payloads of 3072 and
-/// 1536 bytes, small enough to sweep quotas around both sizes.
+/// Two chained fc layers (24×32 then 16×24, 35% dense): resident sparse
+/// payloads of about 2.3 KB and 1.2 KB ([`weight_bytes`]), small enough to
+/// sweep quotas around both sizes.
 fn fixture() -> (dsz_nn::Network, CompressedModel) {
     let shapes = [(24usize, 32usize), (16, 24)];
     let ebs = [1e-2f64, 1e-3];
@@ -99,22 +100,34 @@ fn probe() -> dsz_nn::Batch {
     )
 }
 
-const LAYER0_BYTES: usize = 24 * 32 * 4; // largest dense payload
-const LAYER1_BYTES: usize = 16 * 24 * 4;
+/// Resident bytes of each fc layer's decoded payload, `(larger, smaller)`:
+/// the CSR built from the layer's gap stream, which the container stores
+/// losslessly, so the original layer's CSR has the decoded one's size.
+fn weight_bytes(net: &dsz_nn::Network) -> (usize, usize) {
+    let size = |i: usize| {
+        let w = &net.dense(i).w;
+        let pair = PairArray::from_dense(&w.data, w.rows, w.cols);
+        pair.to_csr().unwrap().size_bytes()
+    };
+    let (fc0, fc1) = (size(0), size(1));
+    assert!(fc0 > fc1, "fc0 is the larger layer");
+    (fc0, fc1)
+}
 
 /// Acceptance property: a spill-quota'd forward pass is bit-identical to
 /// the in-RAM streaming pass under every quota regime — everything
-/// spills (0), only the big layer spills (2048), LRU eviction churn
-/// (4000), and nothing spills (`usize::MAX`) — on first *and* repeat
-/// forwards, while live decoded bytes stay under `quota + executing
-/// layer`.
+/// spills (0), only the big layer spills (between the two layer sizes),
+/// LRU eviction churn (room for the big layer, not both), and nothing
+/// spills (`usize::MAX`) — on first *and* repeat forwards, while live
+/// decoded bytes stay under `quota + executing layer`.
 #[test]
 fn spill_forward_is_bit_identical_to_in_ram_under_every_quota() {
     let (net, model) = fixture();
     let in_ram = CompressedFcModel::new(&net, &model).unwrap();
     let (want, _) = in_ram.forward(&probe()).unwrap();
+    let (big, small) = weight_bytes(&net);
 
-    for quota in [0usize, 2048, 4000, usize::MAX] {
+    for quota in [0usize, (big + small) / 2, big + small / 2, usize::MAX] {
         let dir = test_dir("quota");
         let spilling = CompressedFcModel::new(&net, &model)
             .unwrap()
@@ -127,9 +140,9 @@ fn spill_forward_is_bit_identical_to_in_ram_under_every_quota() {
                 "quota {quota} pass {pass}: spill forward diverged from in-RAM"
             );
             assert!(
-                stats.peak_dense_bytes <= quota.saturating_add(LAYER0_BYTES),
+                stats.peak_weight_bytes <= quota.saturating_add(big),
                 "quota {quota} pass {pass}: peak {} exceeds quota + largest layer",
-                stats.peak_dense_bytes
+                stats.peak_weight_bytes
             );
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -166,7 +179,8 @@ fn repeat_forwards_rehydrate_instead_of_redecoding() {
 
     // Unlimited quota: both payloads stay live; repeats are memory hits.
     let dir = test_dir("live");
-    assert!(LAYER0_BYTES + LAYER1_BYTES < usize::MAX);
+    let (big, small) = weight_bytes(&net);
+    assert!(big + small < usize::MAX);
     let parked = CompressedFcModel::new(&net, &model)
         .unwrap()
         .with_spill_dir(&dir, usize::MAX)

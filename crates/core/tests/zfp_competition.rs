@@ -71,7 +71,7 @@ fn zfp_tolerance_mapping_is_tight_in_both_directions() {
         for tol in [1e-2f64, 1e-3, 1e-4] {
             let blob = dsz_zfp::compress(&data, tol).unwrap();
             let dec = dsz_zfp::decompress(&blob).unwrap();
-            let err = f64::from(max_abs_error(&data, &dec));
+            let err = max_abs_error(&data, &dec);
             assert!(
                 err <= tol,
                 "{name} tol {tol}: ZFP violated its bound (err {err:.3e})"

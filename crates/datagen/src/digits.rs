@@ -121,9 +121,9 @@ mod tests {
             assert!(g.iter().any(|r| r.contains('#')), "digit {d} blank");
         }
         // All glyphs pairwise distinct.
-        for a in 0..10 {
-            for b in a + 1..10 {
-                assert_ne!(GLYPHS[a], GLYPHS[b], "digits {a} and {b} identical");
+        for (a, ga) in GLYPHS.iter().enumerate() {
+            for (b, gb) in GLYPHS.iter().enumerate().skip(a + 1) {
+                assert_ne!(ga, gb, "digits {a} and {b} identical");
             }
         }
     }
@@ -155,10 +155,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut mean = vec![vec![0f32; 784]; 10];
         let mut buf = vec![0f32; 784];
-        for c in 0..10 {
+        for (c, class_mean) in mean.iter_mut().enumerate() {
             for _ in 0..20 {
                 render_digit(c, &mut rng, &mut buf);
-                for (m, &v) in mean[c].iter_mut().zip(&buf) {
+                for (m, &v) in class_mean.iter_mut().zip(&buf) {
                     *m += v / 20.0;
                 }
             }

@@ -18,14 +18,17 @@
 //!   allocates nothing.
 //!
 //! Both halves run the *same* layer arithmetic as [`Network::forward`]
-//! (the dense kernel is shared via [`dsz_tensor::matmul_transb_into`]), so
-//! a suffix pass over a cached prefix is bit-identical to a full pass —
-//! the property `dsz_core`'s incremental assessment relies on and pins in
-//! its equivalence suite. Ownership rules and the memory model are
-//! documented in `docs/ASSESSMENT.md`.
+//! (every dense step goes through [`WeightView::matmul_transb`] and the
+//! same bias loop), so a suffix pass over a cached prefix is bit-identical
+//! to a full pass — the property `dsz_core`'s incremental assessment
+//! relies on and pins in its equivalence suite. A substituted boundary
+//! layer may bring its weights in CSR form; for finite activations that
+//! changes no bit either (`docs/PARALLEL.md`). Ownership rules and the
+//! memory model are documented in `docs/ASSESSMENT.md`.
 
+use crate::layers::add_bias;
 use crate::{Batch, Dataset, DenseLayer, Layer, Network};
-use dsz_tensor::{matmul_transb_into, VolShape};
+use dsz_tensor::{VolShape, WeightView};
 
 /// Activations recorded for one evaluation batch.
 struct CachedBatch {
@@ -181,10 +184,11 @@ impl Network {
     /// from a [`PrefixCache`]) — and returns the network output slice.
     ///
     /// `replace_first`, when set, is used *in place of* `self.layers[from]`
-    /// (which must be dense): this is how assessment tests a candidate
-    /// weight reconstruction without cloning the network — the scratch
-    /// [`DenseLayer`]'s weight buffer is overwritten per test and the
-    /// original network is never touched.
+    /// (which must be dense): the layer `d` with weights `w` — `d` brings
+    /// the name, shape and bias, `w` the weights, dense or sparse (often
+    /// `d`'s own). This is how assessment tests a candidate weight
+    /// reconstruction without cloning the network — the candidate lives
+    /// in the caller's scratch and the original network is never touched.
     ///
     /// All intermediate activations live in `scratch`; aside from buffer
     /// growth (and the conv/pool fallback below) the pass allocates
@@ -199,7 +203,7 @@ impl Network {
     pub fn forward_from<'s>(
         &self,
         from: usize,
-        replace_first: Option<&DenseLayer>,
+        replace_first: Option<(&DenseLayer, WeightView<'_>)>,
         n: usize,
         shape: VolShape,
         input: &[f32],
@@ -219,13 +223,13 @@ impl Network {
             // The candidate substitutes the boundary layer by reference —
             // cloning it here would defeat the scratch design.
             if off == 0 {
-                if let Some(d) = replace_first {
+                if let Some((d, w)) = replace_first {
                     let out_shape = VolShape {
                         c: d.w.rows,
                         h: 1,
                         w: 1,
                     };
-                    step_dense(d, &mut cur, cur_shape, n, input, scratch);
+                    step_dense(d, w, &mut cur, cur_shape, n, input, scratch);
                     cur_shape = out_shape;
                     continue;
                 }
@@ -251,7 +255,15 @@ fn step_layer(
 ) {
     match layer {
         Layer::Flatten => {}
-        Layer::Dense(d) => step_dense(d, cur, cur_shape, n, input, scratch),
+        Layer::Dense(d) => step_dense(
+            d,
+            WeightView::Dense(&d.w.data),
+            cur,
+            cur_shape,
+            n,
+            input,
+            scratch,
+        ),
         Layer::ReLU => {
             let (src, dst, next): (&[f32], &mut Vec<f32>, Cur) = match *cur {
                 Cur::Input => (input, &mut scratch.a, Cur::A),
@@ -288,10 +300,12 @@ fn step_layer(
 }
 
 /// The dense step, shared by the in-place layer walk and the candidate
-/// substitution. The source is one scratch buffer (or the cached input);
-/// the destination is always the *other* buffer, so the borrows split.
+/// substitution: layer `d` with weights `w`. The source is one scratch
+/// buffer (or the cached input); the destination is always the *other*
+/// buffer, so the borrows split.
 fn step_dense(
     d: &DenseLayer,
+    w: WeightView<'_>,
     cur: &mut Cur,
     cur_shape: VolShape,
     n: usize,
@@ -305,13 +319,9 @@ fn step_dense(
         Cur::A => (&scratch.a, &mut scratch.b, Cur::B),
         Cur::B => (&scratch.b, &mut scratch.a, Cur::A),
     };
-    matmul_transb_into(src, n, feats, &d.w, dst);
+    w.matmul_transb(src, n, feats, d.w.rows, dst);
     // Identical bias application to `Layer::forward`'s dense arm.
-    for row in dst.chunks_exact_mut(d.w.rows) {
-        for (v, &bias) in row.iter_mut().zip(&d.b) {
-            *v += bias;
-        }
-    }
+    add_bias(d, dst);
     *cur = next;
 }
 
@@ -402,7 +412,7 @@ mod tests {
                 let (n, shape, input) = cache.batch_input(fc.layer_index, bi);
                 let got = net.forward_from(
                     fc.layer_index,
-                    Some(&candidate),
+                    Some((&candidate, WeightView::Dense(&candidate.w.data))),
                     n,
                     shape,
                     input,

@@ -2,34 +2,34 @@
 
 use crate::Batch;
 use dsz_tensor::{
-    col2im, conv_out_dim, im2col, matmul, matmul_transa, matmul_transb, matmul_transb_raw, Matrix,
-    VolShape,
+    col2im, conv_out_dim, im2col, matmul, matmul_transa, matmul_transb, Matrix, VolShape,
+    WeightView,
 };
 
-/// Forward pass of a dense layer with its weights supplied as a borrowed
-/// row-major slice (`d.w.rows × d.w.cols`) instead of `d.w.data`.
+/// Forward pass of a dense layer with its weights supplied as a
+/// [`WeightView`] (`d.w.rows × d.w.cols`) instead of `d.w.data`.
 ///
-/// This is the kernel the serving layer uses to multiply against weights
-/// shared out of the cross-model decoded-layer cache (`Arc<Vec<f32>>`)
-/// without copying them into the layer struct. [`Layer::forward`] on a
-/// dense layer routes through this same function with `&d.w.data`, so the
-/// two paths are one code path and their outputs are bit-identical.
-pub fn dense_forward_with_weights(d: &DenseLayer, weights: &[f32], x: &Batch) -> Batch {
+/// A container-backed layer multiplies straight off its sparse form
+/// (`WeightView::Sparse`) without a dense matrix ever being built; a
+/// dense layer's [`Layer::forward`] routes through this same function with
+/// `WeightView::Dense(&d.w.data)`. The two kernels give the same bits for
+/// finite inputs (`docs/PARALLEL.md`), and `add_bias` applies the bias
+/// either way.
+pub fn dense_forward_with_weights(d: &DenseLayer, weights: WeightView<'_>, x: &Batch) -> Batch {
     assert_eq!(x.features(), d.w.cols, "dense {}: input features", d.name);
-    assert_eq!(
-        weights.len(),
-        d.w.rows * d.w.cols,
-        "dense {}: weight slice shape",
-        d.name
-    );
     let mut out = Vec::new();
-    matmul_transb_raw(&x.data, x.n, x.features(), weights, d.w.rows, &mut out);
+    weights.matmul_transb(&x.data, x.n, x.features(), d.w.rows, &mut out);
+    add_bias(d, &mut out);
+    Batch::from_features(x.n, d.w.rows, out)
+}
+
+/// Adds `d`'s bias to every row of its matmul output.
+pub(crate) fn add_bias(d: &DenseLayer, out: &mut [f32]) {
     for row in out.chunks_exact_mut(d.w.rows) {
         for (v, &bias) in row.iter_mut().zip(&d.b) {
             *v += bias;
         }
     }
-    Batch::from_features(x.n, d.w.rows, out)
 }
 
 /// A fully-connected layer: `y = W·x + b` with `W` as `out × in`.
@@ -131,7 +131,10 @@ impl Layer {
     /// Forward pass over a batch; returns output and optional aux state.
     pub fn forward(&self, x: &Batch) -> (Batch, Option<PoolAux>) {
         match self {
-            Layer::Dense(d) => (dense_forward_with_weights(d, &d.w.data, x), None),
+            Layer::Dense(d) => (
+                dense_forward_with_weights(d, WeightView::Dense(&d.w.data), x),
+                None,
+            ),
             Layer::Conv(c) => {
                 let s = x.shape;
                 assert_eq!(s.c, c.in_c, "conv {}: input channels", c.name);

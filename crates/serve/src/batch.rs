@@ -2,9 +2,9 @@
 //! admission control, and transient-failure retry (`docs/SERVING.md`).
 //!
 //! Single-sample requests for the same model coalesce into one batched
-//! forward pass — one `matmul_transb_into` per layer with `m = batch
-//! width` instead of `width` separate `m = 1` calls. Two design rules
-//! keep this deterministic:
+//! forward pass — one sparse matmul (`dsz_tensor::matmul_transb_csr`)
+//! per fc layer with `m = batch width` instead of `width` separate
+//! `m = 1` calls. Two design rules keep this deterministic:
 //!
 //! * **Batches are bounded by COUNT, never wall-clock.** A batch is
 //!   whatever is queued when a leader drains, capped at
@@ -16,10 +16,12 @@
 //!   down and wakes the others. No background threads; a process with no
 //!   waiter blocked runs no serving code.
 //!
-//! Coalescing is *legal* because the dense kernel computes each output
-//! row as an independent sequential dot product — batched output is
-//! bit-identical to per-sample calls at every width and worker count
-//! (pinned by `crates/tensor/tests/batch_equivalence.rs`).
+//! Coalescing is *legal* because the kernel computes each output as an
+//! independent sequential sum over its row's stored weights in column
+//! order — batched output is bit-identical to per-sample calls at every
+//! width and worker count, and for finite inputs to the dense kernel's
+//! output too (pinned by `crates/tensor/tests/batch_equivalence.rs`;
+//! `docs/PARALLEL.md`, "Sparse matmul").
 //!
 //! # Resilience (`docs/ROBUSTNESS.md`, "Serving resilience")
 //!

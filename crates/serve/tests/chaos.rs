@@ -81,7 +81,7 @@ fn run_schedule(
     let quota = [0usize, 3000, 1 << 20][(splitmix64(&mut rng) % 3) as usize];
     let max_batch = [1usize, 2, 4, 8][(splitmix64(&mut rng) % 4) as usize];
     let depth = [2usize, 8, usize::MAX][(splitmix64(&mut rng) % 3) as usize];
-    let policy = if splitmix64(&mut rng) % 2 == 0 {
+    let policy = if splitmix64(&mut rng).is_multiple_of(2) {
         ShedPolicy::RejectNew
     } else {
         ShedPolicy::DropOldest
@@ -120,7 +120,7 @@ fn run_schedule(
                         _ => Some(Duration::from_secs(5)),
                     },
                     retries: (splitmix64(&mut rng) % 4) as u32,
-                    register_cancel: splitmix64(&mut rng) % 3 == 0,
+                    register_cancel: splitmix64(&mut rng).is_multiple_of(3),
                 })
                 .collect()
         })

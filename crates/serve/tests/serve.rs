@@ -14,6 +14,21 @@ use std::sync::Arc;
 use std::time::Duration;
 use util::{bits, fixture, probe, serial_reference, FEATURES};
 
+/// Resident bytes of the fixture's decoded fc payloads, `(larger,
+/// smaller)`: the CSR built from each layer's gap stream, which the
+/// container stores losslessly, so the original layer's CSR has the
+/// decoded one's size.
+fn weight_bytes(net: &dsz_nn::Network) -> (usize, usize) {
+    let size = |i: usize| {
+        let w = &net.dense(i).w;
+        let pair = dsz_sparse::PairArray::from_dense(&w.data, w.rows, w.cols);
+        pair.to_csr().unwrap().size_bytes()
+    };
+    let (fc0, fc1) = (size(0), size(1));
+    assert!(fc0 > fc1, "fc0 is the larger layer");
+    (fc0, fc1)
+}
+
 fn server(quota: usize, max_batch: usize) -> Server {
     Server::new(
         Arc::new(ModelRegistry::new(quota)),
@@ -54,8 +69,10 @@ fn served_results_bit_identical_at_every_quota() {
     let (net, container) = fixture(1);
     let input = probe(0xCAFE);
     let want = bits(&serial_reference(&net, &container, &input));
+    let (big, small) = weight_bytes(&net);
     // Including quota 0: the shared cache must be invisible to results.
-    for quota in [0usize, 1000, 3072, 1 << 20] {
+    // Then below the smaller layer, exactly the larger one, and both.
+    for quota in [0usize, small - 1, big, 1 << 20] {
         let srv = server(quota, 4);
         srv.registry().load("m", &net, &container).unwrap();
         for pass in 0..3 {
@@ -175,7 +192,9 @@ fn concurrent_streams_match_serial_reference() {
     let (net_a, container_a) = fixture(1);
     let (net_b, container_b) = fixture(7);
     // Tight quota (one large layer + slack): constant cross-model churn.
-    let srv = Arc::new(server(4000, 4));
+    let (big, small) = weight_bytes(&net_a);
+    let quota = big + small / 2;
+    let srv = Arc::new(server(quota, 4));
     srv.registry().load("a", &net_a, &container_a).unwrap();
     srv.registry().load("b", &net_b, &container_b).unwrap();
     let inputs: Vec<Vec<f32>> = (0..4).map(|i| probe(0x1000 + i)).collect();
@@ -209,7 +228,7 @@ fn concurrent_streams_match_serial_reference() {
     assert_eq!(stats.completed, 80);
     assert_eq!(stats.failed, 0);
     let cache = srv.registry().cache_stats();
-    assert!(cache.high_water <= 4000, "cache ledger exceeded quota");
+    assert!(cache.high_water <= quota, "cache ledger exceeded quota");
 }
 
 /// Test hook: fails the first `remaining` layer probes with a

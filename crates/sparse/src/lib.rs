@@ -9,8 +9,10 @@
 //!   inserted, so every stored entry costs exactly 40 bits.
 //!
 //! The `data` array is what SZ compresses lossily; the `index` array is what
-//! the lossless codec compresses. Classic [`Csr`] is provided for size
-//! comparisons and for the dense reconstruction path.
+//! the lossless codec compresses. A decoded layer is multiplied as classic
+//! three-array [`Csr`] ([`PairArray::to_csr_with`] builds it straight from
+//! the gap stream); [`PairArray::to_dense`] rebuilds the dense matrix for
+//! the paths that install weights into a network.
 
 // Reconstruction runs on container-supplied (untrusted) dims and streams:
 // failures must surface as `SparseError`, never a panic
@@ -18,6 +20,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use dsz_tensor::parallel::{parallel_map, worker_count};
+pub use dsz_tensor::Csr;
 use std::fmt;
 
 /// Gap value reserved as the "advance 255 positions, no weight" marker.
@@ -75,8 +78,10 @@ pub enum SparseError {
     LengthMismatch,
     /// Decoded position falls outside `rows × cols`.
     PositionOverflow,
-    /// `rows × cols` overflows `usize` — only reachable from corrupt
-    /// container dims, never from a matrix that fit in memory.
+    /// `rows × cols` overflows `usize`, or (for [`PairArray::to_csr_with`])
+    /// the rows, columns or entries exceed the CSR form's `u32` range —
+    /// only reachable from corrupt container dims, never from a matrix
+    /// that fit in memory.
     DimsOverflow,
 }
 
@@ -180,6 +185,74 @@ impl PairArray {
         } else {
             self.fill_dense_parallel(data, out, workers)?;
         }
+        Ok(())
+    }
+
+    /// The layer in [`Csr`] form, built from its gap stream and data
+    /// (see [`PairArray::to_csr_with`]).
+    pub fn to_csr(&self) -> Result<Csr, SparseError> {
+        let mut out = Csr::default();
+        self.to_csr_with(&self.data, &mut out)?;
+        Ok(out)
+    }
+
+    /// The sparse twin of [`PairArray::to_dense_with`]: builds the layer
+    /// as [`Csr`] into `out` (reusing its capacity) from this gap stream
+    /// and a replacement data array, without a dense matrix in between.
+    ///
+    /// It walks the same entries as the dense reconstruction, so
+    /// `out.to_dense()` equals `to_dense_with`'s output bit for bit and
+    /// every error is the same one — except that rows, columns or entries
+    /// beyond the `u32` range, which no layer held in memory reaches, are
+    /// a [`SparseError::DimsOverflow`] here. Every real entry is stored, zero
+    /// values included; padding markers store nothing; a gap-0 entry
+    /// right after a real entry overwrites that entry's value, as the
+    /// dense write does.
+    pub fn to_csr_with(&self, data: &[f32], out: &mut Csr) -> Result<(), SparseError> {
+        if data.len() != self.index.len() {
+            return Err(SparseError::LengthMismatch);
+        }
+        let len = self
+            .rows
+            .checked_mul(self.cols)
+            .ok_or(SparseError::DimsOverflow)?;
+        // Row pointers and columns are u32; checking the row count too
+        // keeps `rows + 1` below from overflowing on hostile dims.
+        let fits = |n: usize| u32::try_from(n).is_ok();
+        if !(fits(self.rows) && fits(self.cols) && fits(self.index.len())) {
+            return Err(SparseError::DimsOverflow);
+        }
+        let cols = self.cols;
+        out.rows = self.rows;
+        out.cols = cols;
+        out.values.clear();
+        out.col_idx.clear();
+        out.row_ptr.clear();
+        out.values.reserve(self.index.len());
+        out.col_idx.reserve(self.index.len());
+        out.row_ptr.reserve(self.rows + 1);
+        out.row_ptr.push(0);
+        // Positions never decrease along the walk, so a repeated position
+        // can only be the entry stored last.
+        let mut last = None;
+        walk_entries(&self.index, data, -1, len, |p, v| {
+            if last == Some(p) {
+                if let Some(slot) = out.values.last_mut() {
+                    *slot = v;
+                }
+                return;
+            }
+            last = Some(p);
+            // Both casts fit: checked against u32 above.
+            let stored = out.values.len() as u32;
+            while out.row_ptr.len() <= p / cols {
+                out.row_ptr.push(stored);
+            }
+            out.values.push(v);
+            out.col_idx.push((p % cols) as u32);
+        })?;
+        let stored = out.values.len() as u32;
+        out.row_ptr.resize(self.rows + 1, stored);
         Ok(())
     }
 
@@ -295,94 +368,6 @@ impl PairArray {
             index: self.index.clone(),
         })
     }
-}
-
-/// Classic compressed-sparse-row with three arrays, for comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Csr {
-    /// Matrix rows.
-    pub rows: usize,
-    /// Matrix columns.
-    pub cols: usize,
-    /// Nonzero values, row-major order.
-    pub values: Vec<f32>,
-    /// Column index per value.
-    pub col_idx: Vec<u32>,
-    /// `row_ptr[r]..row_ptr[r+1]` spans row `r`'s values.
-    pub row_ptr: Vec<u32>,
-}
-
-impl Csr {
-    /// Builds CSR from a dense row-major matrix.
-    pub fn from_dense(weights: &[f32], rows: usize, cols: usize) -> Self {
-        assert_eq!(weights.len(), rows * cols, "dense shape mismatch");
-        let mut values = Vec::new();
-        let mut col_idx = Vec::new();
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0u32);
-        for r in 0..rows {
-            for c in 0..cols {
-                let w = weights[r * cols + c];
-                if w != 0.0 {
-                    values.push(w);
-                    col_idx.push(c as u32);
-                }
-            }
-            row_ptr.push(values.len() as u32);
-        }
-        Self {
-            rows,
-            cols,
-            values,
-            col_idx,
-            row_ptr,
-        }
-    }
-
-    /// Reconstructs the dense matrix.
-    pub fn to_dense(&self) -> Vec<f32> {
-        let mut out = vec![0f32; self.rows * self.cols];
-        for r in 0..self.rows {
-            let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            for k in lo..hi {
-                out[r * self.cols + self.col_idx[k] as usize] = self.values[k];
-            }
-        }
-        out
-    }
-
-    /// Number of nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Storage footprint (4 B value + 4 B column + row pointers).
-    pub fn size_bytes(&self) -> usize {
-        self.values.len() * 4 + self.col_idx.len() * 4 + self.row_ptr.len() * 4
-    }
-}
-
-/// Sparse × dense matrix-vector product `y = W·x` straight from the
-/// two-array format — used by the decode-path benchmarks.
-pub fn pair_matvec(w: &PairArray, x: &[f32], y: &mut [f32]) -> Result<(), SparseError> {
-    assert_eq!(x.len(), w.cols, "input length mismatch");
-    assert_eq!(y.len(), w.rows, "output length mismatch");
-    y.fill(0.0);
-    let mut pos: i64 = -1;
-    for (&g, &v) in w.index.iter().zip(&w.data) {
-        if g == PAD_MARKER {
-            pos += i64::from(PAD_MARKER);
-            continue;
-        }
-        pos += i64::from(g);
-        let p = usize::try_from(pos).map_err(|_| SparseError::PositionOverflow)?;
-        let (r, c) = (p / w.cols, p % w.cols);
-        if r >= w.rows {
-            return Err(SparseError::PositionOverflow);
-        }
-        y[r] += v * x[c];
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -505,11 +490,13 @@ mod tests {
 
     #[test]
     fn pair_matvec_matches_dense() {
+        // y = W·x straight off the pair arrays: CSR built from the gap
+        // stream, multiplied by the sparse kernel.
         let dense = sample_sparse(32, 48, 0.15, 13);
         let pa = PairArray::from_dense(&dense, 32, 48);
         let x: Vec<f32> = (0..48).map(|i| (i as f32 * 0.1).sin()).collect();
-        let mut y = vec![0f32; 32];
-        pair_matvec(&pa, &x, &mut y).unwrap();
+        let mut y = Vec::new();
+        dsz_tensor::matmul_transb_csr(&x, 1, 48, &pa.to_csr().unwrap(), &mut y);
         for r in 0..32 {
             let want: f32 = (0..48).map(|c| dense[r * 48 + c] * x[c]).sum();
             assert!((y[r] - want).abs() < 1e-4, "row {r}: {} vs {}", y[r], want);

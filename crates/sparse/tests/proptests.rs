@@ -2,7 +2,7 @@
 //! CSR must reconstruct arbitrary sparse matrices exactly, including
 //! pathological gap structures.
 
-use dsz_sparse::{pair_matvec, Csr, PairArray, PAD_MARKER};
+use dsz_sparse::{Csr, PairArray, PAD_MARKER};
 use proptest::prelude::*;
 
 /// Strategy: a sparse dense matrix with arbitrary density and values.
@@ -97,13 +97,23 @@ proptest! {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
             ((s >> 33) as f32 / (1u64 << 31) as f32) - 0.5
         }).collect();
-        let mut y = vec![0f32; rows];
-        pair_matvec(&pa, &x, &mut y).unwrap();
+        // y = W·x straight off the pair arrays: the CSR builder feeding
+        // the sparse kernel.
+        let mut y = Vec::new();
+        dsz_tensor::matmul_transb_csr(&x, 1, cols, &pa.to_csr().unwrap(), &mut y);
+        prop_assert_eq!(y.len(), rows);
         for r in 0..rows {
             let want: f32 = (0..cols).map(|c| dense[r * cols + c] * x[c]).sum();
             prop_assert!((y[r] - want).abs() <= 1e-3 * (1.0 + want.abs()),
                          "row {}: {} vs {}", r, y[r], want);
         }
+        // And bit for bit what the dense kernel computes over `dense`.
+        let mut y_dense = Vec::new();
+        dsz_tensor::matmul_transb_raw(&x, 1, cols, &dense, rows, &mut y_dense);
+        prop_assert_eq!(
+            y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            y_dense.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

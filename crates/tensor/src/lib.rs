@@ -3,8 +3,10 @@
 //! The paper runs on Caffe + cuDNN; the framework itself only needs forward
 //! passes (and SGD retraining for the pruning step), so this crate provides
 //! exactly that foundation: a row-major [`Matrix`], cache-blocked matrix
-//! multiplication parallelized over the persistent worker pool, and the
-//! im2col transform used to lower convolutions to matmul.
+//! multiplication parallelized over the persistent worker pool, the
+//! [`Csr`] form and kernel that multiply a pruned layer straight off its
+//! nonzeros, and the im2col transform used to lower convolutions to
+//! matmul.
 //!
 //! Execution model: the [`parallel`] helpers enqueue work onto the
 //! lazily-initialized long-lived pool in [`pool`] (the caller always
@@ -123,10 +125,9 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// `C = A·Bᵀ` into a caller-owned buffer: `a` is an `m×k` row-major slice,
 /// `b` is `n×k`, and `out` is resized to `m·n` (reusing its capacity).
-/// This is the allocation-free kernel behind [`matmul_transb`]; the
-/// suffix-forward scratch path (`dsz_nn::Network::forward_from`) calls it
-/// directly so repeated inference tests reuse one activation buffer. Both
-/// entry points share one loop, so their outputs are bit-identical.
+/// This is the allocation-free kernel behind [`matmul_transb`], for
+/// callers that reuse one output buffer across calls. Both entry points
+/// share one loop, so their outputs are bit-identical.
 pub fn matmul_transb_into(a: &[f32], m: usize, k: usize, b: &Matrix, out: &mut Vec<f32>) {
     assert_eq!(b.cols, k, "matmul_transb_into inner dimension mismatch");
     matmul_transb_raw(a, m, k, &b.data, b.rows, out);
@@ -134,13 +135,14 @@ pub fn matmul_transb_into(a: &[f32], m: usize, k: usize, b: &Matrix, out: &mut V
 
 /// `C = A·Bᵀ` with both operands as raw row-major slices: `a` is `m×k`,
 /// `bdata` is `n×k`, and `out` is resized to `m·n`. This is the innermost
-/// kernel behind [`matmul_transb`] and [`matmul_transb_into`]; the serving
-/// layer calls it directly so weights shared out of the cross-model layer
-/// cache (`Arc<Vec<f32>>`) multiply without being copied into a `Matrix`.
-/// All entry points share this one loop, so outputs are bit-identical
-/// across them — and each output element is one sequential dot product,
-/// so results are also bit-identical across batch widths and worker
-/// counts (rows split across workers; the per-row loop never does).
+/// kernel behind [`matmul_transb`] and [`matmul_transb_into`], and the
+/// dense arm of [`WeightView::matmul_transb`], through which every dense
+/// layer's forward runs. All entry points share this one loop, so outputs
+/// are bit-identical across them — and each output element is one
+/// sequential dot product, so results are also bit-identical across batch
+/// widths and worker counts (rows split across workers; the per-row loop
+/// never does). [`matmul_transb_csr`] reproduces these bits from the
+/// nonzeros alone for every finite `a`.
 pub fn matmul_transb_raw(
     a: &[f32],
     m: usize,
@@ -167,6 +169,176 @@ pub fn matmul_transb_raw(
             }
         }
     });
+}
+
+/// Compressed-sparse-row matrix: the nonzeros of a pruned weight matrix
+/// with a `u32` column per value and a row pointer per row.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Csr {
+    /// Matrix rows.
+    pub rows: usize,
+    /// Matrix columns.
+    pub cols: usize,
+    /// Nonzero values, row-major order.
+    pub values: Vec<f32>,
+    /// Column index per value, ascending within each row.
+    pub col_idx: Vec<u32>,
+    /// `row_ptr[r]..row_ptr[r+1]` spans row `r`'s values.
+    pub row_ptr: Vec<u32>,
+}
+
+impl Csr {
+    /// Builds CSR from a dense row-major matrix, keeping every entry that
+    /// is not `±0.0`.
+    pub fn from_dense(weights: &[f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(weights.len(), rows * cols, "dense shape mismatch");
+        let mut values = Vec::new();
+        let mut col_idx = Vec::new();
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0u32);
+        for r in 0..rows {
+            for c in 0..cols {
+                let w = weights[r * cols + c];
+                if w != 0.0 {
+                    values.push(w);
+                    col_idx.push(c as u32);
+                }
+            }
+            row_ptr.push(values.len() as u32);
+        }
+        Self {
+            rows,
+            cols,
+            values,
+            col_idx,
+            row_ptr,
+        }
+    }
+
+    /// Reconstructs the dense matrix.
+    pub fn to_dense(&self) -> Vec<f32> {
+        let mut out = vec![0f32; self.rows * self.cols];
+        for r in 0..self.rows {
+            let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+            for k in lo..hi {
+                out[r * self.cols + self.col_idx[k] as usize] = self.values[k];
+            }
+        }
+        out
+    }
+
+    /// Whether the arrays form a valid `rows × cols` CSR matrix: one row
+    /// pointer per row plus one, starting at 0, never decreasing and
+    /// ending at the value count, and strictly ascending in-range columns
+    /// within each row — everything [`matmul_transb_csr`] relies on.
+    pub fn is_well_formed(&self) -> bool {
+        self.row_ptr.len() == self.rows + 1
+            && self.row_ptr.first() == Some(&0)
+            && self.row_ptr.last().map(|&e| e as usize) == Some(self.values.len())
+            && self.col_idx.len() == self.values.len()
+            && self.row_ptr.windows(2).all(|w| {
+                w[0] <= w[1]
+                    && self.col_idx[w[0] as usize..w[1] as usize]
+                        .windows(2)
+                        .all(|c| c[0] < c[1])
+                    && self.col_idx[w[0] as usize..w[1] as usize]
+                        .last()
+                        .is_none_or(|&c| (c as usize) < self.cols)
+            })
+    }
+
+    /// Number of stored values.
+    pub fn nnz(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Storage footprint (4 B value + 4 B column + row pointers) — the
+    /// bytes a resident sparse layer holds.
+    pub fn size_bytes(&self) -> usize {
+        self.values.len() * 4 + self.col_idx.len() * 4 + self.row_ptr.len() * 4
+    }
+}
+
+/// `C = A·Wᵀ` with `W` in CSR form: `a` is `m×k` row-major, `w` is `n×k`,
+/// and `out` is resized to `m·n`.
+///
+/// Each output adds its row's stored values in column order, starting
+/// from `+0.0`, four batch rows at a time (rows split across workers as
+/// in [`matmul_transb_raw`]). For every finite `a` the bits equal the
+/// dense kernel's over `w.to_dense()`: the dense loop adds the same
+/// products in the same order plus `x·0 = ±0` for every pruned column,
+/// and adding `±0` to an accumulator that starts at `+0.0` changes
+/// nothing — the accumulator is never `-0.0`, since a round-to-nearest
+/// sum is `-0.0` only when both addends are. Stored `±0.0` values are
+/// covered by the same argument. A non-finite `a[c]` at a pruned column
+/// is where the two diverge: dense adds `inf·0 = NaN`, CSR never reads it.
+pub fn matmul_transb_csr(a: &[f32], m: usize, k: usize, w: &Csr, out: &mut Vec<f32>) {
+    assert_eq!(a.len(), m * k, "matmul_transb_csr lhs shape mismatch");
+    assert_eq!(w.cols, k, "matmul_transb_csr inner dimension mismatch");
+    assert_eq!(w.row_ptr.len(), w.rows + 1, "csr row pointer length");
+    let n = w.rows;
+    out.clear();
+    out.resize(m * n, 0.0);
+    parallel_for_rows(m, out, n, |r0, rows_chunk| {
+        let mut blocks = rows_chunk.chunks_exact_mut(4 * n);
+        let mut r = r0;
+        for block in &mut blocks {
+            let x = &a[r * k..(r + 4) * k];
+            let (x0, x1, x2, x3) = (&x[..k], &x[k..2 * k], &x[2 * k..3 * k], &x[3 * k..]);
+            for j in 0..n {
+                let span = w.row_ptr[j] as usize..w.row_ptr[j + 1] as usize;
+                let (mut s0, mut s1, mut s2, mut s3) = (0f32, 0f32, 0f32, 0f32);
+                for (&c, &v) in w.col_idx[span.clone()].iter().zip(&w.values[span]) {
+                    let c = c as usize;
+                    s0 += x0[c] * v;
+                    s1 += x1[c] * v;
+                    s2 += x2[c] * v;
+                    s3 += x3[c] * v;
+                }
+                block[j] = s0;
+                block[n + j] = s1;
+                block[2 * n + j] = s2;
+                block[3 * n + j] = s3;
+            }
+            r += 4;
+        }
+        for crow in blocks.into_remainder().chunks_exact_mut(n) {
+            let x = &a[r * k..(r + 1) * k];
+            for (j, cv) in crow.iter_mut().enumerate() {
+                let span = w.row_ptr[j] as usize..w.row_ptr[j + 1] as usize;
+                let mut acc = 0f32;
+                for (&c, &v) in w.col_idx[span.clone()].iter().zip(&w.values[span]) {
+                    acc += x[c as usize] * v;
+                }
+                *cv = acc;
+            }
+            r += 1;
+        }
+    });
+}
+
+/// A dense layer's weights (`n×k`) in either resident form.
+#[derive(Debug, Clone, Copy)]
+pub enum WeightView<'a> {
+    /// Row-major dense matrix.
+    Dense(&'a [f32]),
+    /// The pruned layer's nonzeros.
+    Sparse(&'a Csr),
+}
+
+impl WeightView<'_> {
+    /// `C = A·Wᵀ` through the kernel matching the form:
+    /// [`matmul_transb_raw`] or [`matmul_transb_csr`], which give the same
+    /// bits for finite `a`. `n` is the weight rows.
+    pub fn matmul_transb(self, a: &[f32], m: usize, k: usize, n: usize, out: &mut Vec<f32>) {
+        match self {
+            WeightView::Dense(w) => matmul_transb_raw(a, m, k, w, n, out),
+            WeightView::Sparse(w) => {
+                assert_eq!(w.rows, n, "matmul_transb_csr weight rows");
+                matmul_transb_csr(a, m, k, w, out)
+            }
+        }
+    }
 }
 
 /// `C = Aᵀ·B` where A is `k×m`, B is `k×n` (gradient wrt weights).

@@ -41,8 +41,11 @@ done
 # Serving gate (docs/SERVING.md): the shared decoded-layer cache must
 # keep forwards bit-identical to the uncached serial path at every quota
 # (including 0) and never let the ledger exceed the quota; the batched
-# matmul must stay bit-identical to per-sample calls; and the registry /
-# micro-batch scheduler suites ride the same two worker budgets.
+# matmul must stay bit-identical to per-sample calls; the CSR kernel every
+# served layer runs must reproduce the dense kernel's bits for finite
+# inputs (run by name, with the CSR builder's parity suite, so a failure
+# is unmistakable in the log); and the registry / micro-batch scheduler
+# suites ride the same two worker budgets.
 # Resilience gate (docs/ROBUSTNESS.md, "Serving resilience"): the seeded
 # chaos campaign (injected decode faults, slow layers, mid-batch cancels
 # under deadlines, retries, and bounded queues) and the degraded-load /
@@ -52,6 +55,8 @@ done
 for t in 1 4; do
   DSZ_THREADS=$t cargo test -q -p dsz_core --test shared_cache
   DSZ_THREADS=$t cargo test -q -p dsz_tensor --test batch_equivalence
+  DSZ_THREADS=$t cargo test -q -p dsz_tensor --test batch_equivalence csr
+  DSZ_THREADS=$t cargo test -q -p dsz_sparse --test csr_builder
   DSZ_THREADS=$t cargo test -q -p dsz_serve --test serve
   DSZ_THREADS=$t cargo test -q -p dsz_serve --test batching
   DSZ_THREADS=$t cargo test -q -p dsz_serve --test chaos
@@ -82,6 +87,6 @@ cargo run --release -p dsz_bench --bin bench_serve >/dev/null
 # shared layer cache) carry scoped in-source
 # `deny(clippy::unwrap_used, clippy::expect_used)` attributes, so any new
 # unwrap/expect there fails this line.
-cargo clippy --workspace -q -- -D warnings
+cargo clippy --workspace --all-targets -q -- -D warnings
 cargo fmt --check
 echo "tier1: OK"

@@ -39,6 +39,24 @@ fn compressed_lenet() -> (Network, deepsz::framework::CompressedModel, Dataset) 
     (net, model, test_data)
 }
 
+/// Resident bytes of each fc layer's decoded sparse form, in fc order.
+/// The index stream is lossless, so the decoded layer has the original
+/// pruned layer's structure: its CSR, built from the original gap stream,
+/// has the same size. The budget assertions below are exact only while
+/// no gap stream holds padding markers (an in-flight decode is counted
+/// at 8 bytes per stored entry, pads included), so that is checked too.
+fn weight_bytes(net: &Network) -> Vec<usize> {
+    net.fc_layers()
+        .iter()
+        .map(|f| {
+            let w = &net.dense(f.layer_index).w;
+            let pair = PairArray::from_dense(&w.data, w.rows, w.cols);
+            assert_eq!(pair.nnz(), pair.stored_entries(), "{}: padding", f.name);
+            pair.to_csr().unwrap().size_bytes()
+        })
+        .collect()
+}
+
 #[test]
 fn streaming_forward_matches_eager_decode() {
     let (net, model, test) = compressed_lenet();
@@ -56,18 +74,16 @@ fn peak_memory_is_bounded_by_largest_layer() {
     let probe = test.batch(0, 16);
     let (_, stats) = streaming.forward(&probe).unwrap();
     // Peak = largest single fc layer (ip1: 300×784), not the sum.
-    let largest = net
-        .fc_layers()
-        .iter()
-        .map(|f| f.dense_bytes())
-        .max()
-        .unwrap();
-    let total: usize = net.fc_layers().iter().map(|f| f.dense_bytes()).sum();
-    assert_eq!(stats.peak_dense_bytes, largest);
-    assert_eq!(stats.total_dense_bytes, total);
-    assert!(stats.peak_dense_bytes < total);
-    // And the persistent copy is the compressed container (≫ smaller).
-    assert!(stats.compressed_bytes * 10 < total);
+    let sizes = weight_bytes(&net);
+    let largest = *sizes.iter().max().unwrap();
+    let total: usize = sizes.iter().sum();
+    assert_eq!(stats.peak_weight_bytes, largest);
+    assert_eq!(stats.total_weight_bytes, total);
+    assert!(stats.peak_weight_bytes < total);
+    // And the persistent copy is the compressed container (≫ smaller
+    // than the dense layers).
+    let dense_total: usize = net.fc_layers().iter().map(|f| f.dense_bytes()).sum();
+    assert!(stats.compressed_bytes * 10 < dense_total);
 }
 
 #[test]
@@ -85,18 +101,18 @@ fn prefetch_holds_at_most_two_layers_and_matches_serial() {
     let (out_ser, stats_ser) = serial.forward(&probe).unwrap();
     // Overlapped decode must not change the numerics.
     assert_eq!(out_pre, out_ser);
-    assert_eq!(stats_pre.total_dense_bytes, stats_ser.total_dense_bytes);
+    assert_eq!(stats_pre.total_weight_bytes, stats_ser.total_weight_bytes);
     // Prefetch keeps the executing layer plus one in-flight decode.
-    let dense: Vec<usize> = net.fc_layers().iter().map(|f| f.dense_bytes()).collect();
-    let max_pair = dense
+    let sizes = weight_bytes(&net);
+    let max_pair = sizes
         .windows(2)
         .map(|w| w[0] + w[1])
         .max()
-        .unwrap_or(dense[0]);
-    assert!(stats_pre.peak_dense_bytes <= max_pair);
-    assert!(stats_pre.peak_dense_bytes >= stats_ser.peak_dense_bytes);
-    let total: usize = dense.iter().sum();
-    assert!(stats_pre.peak_dense_bytes < total);
+        .unwrap_or(sizes[0]);
+    assert!(stats_pre.peak_weight_bytes <= max_pair);
+    assert!(stats_pre.peak_weight_bytes >= stats_ser.peak_weight_bytes);
+    let total: usize = sizes.iter().sum();
+    assert!(stats_pre.peak_weight_bytes < total);
 }
 
 #[test]
@@ -115,10 +131,10 @@ fn prefetch_depths_zero_one_two_are_equivalent() {
         // single-core hosts.
         let (out, stats) = deepsz::tensor::parallel::with_workers(4, || m.forward(&probe)).unwrap();
         assert_eq!(out, out0, "depth {depth} must not change the numerics");
-        assert_eq!(stats.total_dense_bytes, stats0.total_dense_bytes);
-        // Deeper pipelines may hold more dense bytes, never fewer layers'
+        assert_eq!(stats.total_weight_bytes, stats0.total_weight_bytes);
+        // Deeper pipelines may hold more weight bytes, never fewer layers'
         // worth than the serial bound.
-        assert!(stats.peak_dense_bytes >= stats0.peak_dense_bytes);
+        assert!(stats.peak_weight_bytes >= stats0.peak_weight_bytes);
     }
 }
 
@@ -126,9 +142,9 @@ fn prefetch_depths_zero_one_two_are_equivalent() {
 fn deep_prefetch_pins_high_water_mark_to_decoded_bytes_budget() {
     let (net, model, test) = compressed_lenet();
     let probe = test.batch(0, 16);
-    let dense: Vec<usize> = net.fc_layers().iter().map(|f| f.dense_bytes()).collect();
-    assert_eq!(dense.len(), 3, "LeNet-300 fc stack");
-    let total: usize = dense.iter().sum();
+    let sizes = weight_bytes(&net);
+    assert_eq!(sizes.len(), 3, "LeNet-300 fc stack");
+    let total: usize = sizes.iter().sum();
 
     // Depth 2 with no bytes budget: while the first (largest) layer
     // executes, both remaining layers are in flight — the whole stack is
@@ -138,11 +154,11 @@ fn deep_prefetch_pins_high_water_mark_to_decoded_bytes_budget() {
         .with_prefetch_depth(2);
     let (out_u, stats_u) =
         deepsz::tensor::parallel::with_workers(4, || unbounded.forward(&probe)).unwrap();
-    assert_eq!(stats_u.peak_dense_bytes, total);
+    assert_eq!(stats_u.peak_weight_bytes, total);
 
     // An explicit budget of the two largest layers blocks the third
     // prefetch exactly: the high-water mark lands on the budget.
-    let budget = dense[0] + dense[1];
+    let budget = sizes[0] + sizes[1];
     assert!(budget < total);
     let bounded = CompressedFcModel::new(&net, &model)
         .unwrap()
@@ -150,7 +166,7 @@ fn deep_prefetch_pins_high_water_mark_to_decoded_bytes_budget() {
         .with_decoded_bytes_budget(Some(budget));
     let (out_b, stats_b) =
         deepsz::tensor::parallel::with_workers(4, || bounded.forward(&probe)).unwrap();
-    assert_eq!(stats_b.peak_dense_bytes, budget);
+    assert_eq!(stats_b.peak_weight_bytes, budget);
     assert_eq!(out_b, out_u, "bytes budget must not change the numerics");
 
     // A budget smaller than any single layer suppresses prefetch entirely,
@@ -161,7 +177,7 @@ fn deep_prefetch_pins_high_water_mark_to_decoded_bytes_budget() {
         .with_decoded_bytes_budget(Some(1));
     let (out_s, stats_s) =
         deepsz::tensor::parallel::with_workers(4, || strict.forward(&probe)).unwrap();
-    assert_eq!(stats_s.peak_dense_bytes, *dense.iter().max().unwrap());
+    assert_eq!(stats_s.peak_weight_bytes, *sizes.iter().max().unwrap());
     assert_eq!(out_s, out_u);
 }
 
